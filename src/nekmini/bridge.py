@@ -53,7 +53,6 @@ class AnalysisSpec:
 @dataclass(frozen=True)
 class BridgeConfig:
     specs: tuple[AnalysisSpec, ...] = ()
-    trigger_at_step_zero: bool = True
 
 
 def parse_config(text: str) -> BridgeConfig:
@@ -104,11 +103,9 @@ def load_config(path: str) -> BridgeConfig:
         return parse_config(f.read())
 
 
-def should_trigger(spec: AnalysisSpec, step: int, trigger_at_step_zero: bool = True) -> bool:
+def should_trigger(spec: AnalysisSpec, step: int) -> bool:
     if step < 0:
         raise ValueError("step must be non-negative")
-    if step == 0:
-        return trigger_at_step_zero
     return step % spec.frequency == 0
 
 
@@ -159,7 +156,7 @@ class Bridge:
 
         reports = []
         for spec, sink, summary in zip(self.cfg.specs, self.sinks, self.summaries):
-            if not should_trigger(spec, s.step, self.cfg.trigger_at_step_zero):
+            if not should_trigger(spec, s.step):
                 continue
             t0 = time.perf_counter()
             try:

@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="orchestrated in transit benchmark")
     _add_solver_args(p)
     p.add_argument("--config", help="analysis XML for the endpoint")
-    p.add_argument("--spawn", action="store_true",
-                   help="spawn endpoint and producer processes (the only mode)")
     p.add_argument("--producers", type=int, default=4)
     p.add_argument("--steps", type=int, default=3000)
     p.add_argument("--frequency", type=int, default=100)
@@ -102,24 +100,20 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run":
         out = harness.run_insitu(harness.RunConfig(
-            mode="insitu", solver=_solver_params(args), steps=args.steps,
+            solver=_solver_params(args), steps=args.steps,
             bridge_config_path=args.config, output_dir=Path(args.out), label=args.label,
         ))
         print(f"in situ run complete: {out}")
 
     elif args.command == "endpoint":
-        cfg = harness.RunConfig(
-            mode="intransit-endpoint", solver=SolverParams(), steps=1,
-            bridge_config_path=args.config, output_dir=Path(args.out),
-            label=args.label, producers=args.producers,
-        )
-        out = harness.run_endpoint(cfg, listen=args.listen, port_file=args.port_file,
+        out = harness.run_endpoint(args.out, args.config, args.label, args.producers,
+                                   listen=args.listen, port_file=args.port_file,
                                    step_timeout=args.step_timeout)
         print(f"endpoint finished: {out}")
 
     elif args.command == "producer":
         cfg = harness.RunConfig(
-            mode="intransit-producer", solver=_solver_params(args), steps=args.steps,
+            solver=_solver_params(args), steps=args.steps,
             bridge_config_path=None, output_dir=Path(args.out), label=args.label,
             frequency=args.frequency, endpoint_address=args.endpoint, producer_id=args.id,
         )
@@ -128,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
 
     elif args.command == "bench":
         cfg = harness.RunConfig(
-            mode="intransit-endpoint", solver=_solver_params(args), steps=args.steps,
+            solver=_solver_params(args), steps=args.steps,
             bridge_config_path=args.config, output_dir=Path(args.out), label=args.label,
             producers=args.producers, frequency=args.frequency,
         )
@@ -138,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "weak-scale":
         counts = [int(x) for x in args.producers.split(",") if x]
         cfg = harness.RunConfig(
-            mode="intransit-endpoint", solver=_solver_params(args), steps=args.steps,
+            solver=_solver_params(args), steps=args.steps,
             bridge_config_path=args.config, output_dir=Path(args.out), label=args.label,
             frequency=args.frequency,
         )

@@ -185,15 +185,13 @@ def _grid(f: FieldArray, dims: tuple[int, int, int]) -> np.ndarray:
     return f.values.reshape(nk, nj, ni, f.components)
 
 
-def assemble_global(blocks: list[Block], layout: str = "tile_x") -> Block:
+def assemble_global(blocks: list[Block]) -> Block:
     """Tile blocks along x into one global block.
 
     Blocks must abut (no ghost overlap), share spacing, y/z extents, and
     field schema, and arrive ordered by producer (ascending i_min).
     Origin is taken from the first block.
     """
-    if layout != "tile_x":
-        raise ValueError(f"unknown layout {layout!r}")
     if not blocks:
         raise ValueError("no blocks to assemble")
     if len(blocks) == 1:

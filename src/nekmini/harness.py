@@ -1,6 +1,9 @@
 """Benchmark harness: in situ runs, in transit producer/endpoint roles,
 process orchestration, and the weak-scaling experiment.
 
+The in situ run and every producer share one solver loop, `_drive`, which
+hands snapshots to the bridge or to the transport; every role writes
+its timings.csv, memory.csv and summary.csv through `_write_reports`.
 Per-step phases recorded in timings.csv:
 
     solve          one solver step
@@ -19,7 +22,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from nekmini import bridge as bridge_mod
@@ -34,11 +37,11 @@ from nekmini.transport import (
 )
 
 ENDPOINT_ENV = "NEKMINI_ENDPOINT"
+ENDPOINT_EXIT_TIMEOUT = 120.0  # s the orchestrator waits for the endpoint after its producers
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str  # insitu | intransit-producer | intransit-endpoint
     solver: SolverParams
     steps: int
     bridge_config_path: str | None
@@ -86,6 +89,66 @@ def _load_bridge(path: str | None) -> bridge_mod.Bridge:
     return bridge_mod.initialize(bridge_mod.load_config(path))
 
 
+def _drive(cfg: RunConfig, deliver, phase: str, cadence: int) -> list[TimingRecord]:
+    """The solver loop of the in situ run and of a producer.
+
+    Delivers the initial condition, then every step whose number is a
+    multiple of `cadence`, to `deliver`; times each delivery as `phase`.
+    Returns the per-step rows: solve for steps 1..N, then snapshot_copy
+    and `phase` on delivered steps.
+    """
+    label, pid = cfg.label, cfg.producer_id
+    rows: list[TimingRecord] = []
+
+    def ship(st):
+        t0 = time.perf_counter()
+        snap = snapshot_of(st, producer_id=pid, block_origin_index=pid * cfg.solver.nx)
+        t1 = time.perf_counter()
+        deliver(snap)
+        t2 = time.perf_counter()
+        rows.append(TimingRecord(label, st.step, "snapshot_copy", t1 - t0))
+        rows.append(TimingRecord(label, st.step, phase, t2 - t1))
+
+    state = init_state(cfg.solver)
+    ship(state)
+    for _ in range(cfg.steps):
+        t0 = time.perf_counter()
+        state = step(state, cfg.solver)
+        rows.append(TimingRecord(label, state.step, "solve", time.perf_counter() - t0))
+        if state.step % cadence == 0:
+            ship(state)
+    return rows
+
+
+def _write_reports(out: Path, label: str, role: str, steps: list[TimingRecord],
+                   sinks: list[bridge_mod.SinkSummary], phase_bytes: dict[str, int]):
+    """Write one role's timings.csv (if it timed any steps), memory.csv and
+    summary.csv.
+
+    summary.csv aggregates the per-step rows plus step -1 rows: one per
+    sink kind, carrying the seconds and bytes of every sink of that kind
+    summed, and a 0 s row for each phase in `phase_bytes` that no step
+    timed, so that its bytes appear.
+    """
+    seconds: dict[str, float] = {}
+    nbytes: dict[str, int] = {}
+    for s in sinks:
+        key = f"sink:{s.kind}"
+        seconds[key] = seconds.get(key, 0.0) + s.seconds
+        nbytes[key] = nbytes.get(key, 0) + s.bytes_written
+    timed = {r.phase for r in steps}
+    for key, n in phase_bytes.items():
+        nbytes[key] = n
+        if key not in timed:
+            seconds[key] = 0.0
+    if steps:
+        reporting.write_timings(out / "timings.csv", steps)
+    reporting.write_memory(out / "memory.csv", [MemoryRecord(label, role, measure_memory_hwm())])
+    rows = steps + [TimingRecord(label, -1, key, s) for key, s in seconds.items()]
+    agg = reporting.aggregate(rows, {(label, key): n for key, n in nbytes.items()})
+    reporting.write_summary(out / "summary.csv", agg)
+
+
 def run_insitu(cfg: RunConfig) -> Path:
     """Solver and sinks in one process; writes the report CSVs.
 
@@ -96,43 +159,8 @@ def run_insitu(cfg: RunConfig) -> Path:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     br = _load_bridge(cfg.bridge_config_path)
-    state = init_state(cfg.solver)
-    timings: list[TimingRecord] = []
-
-    def run_sinks(snap) -> float:
-        t0 = time.perf_counter()
-        br.update(snap)
-        return time.perf_counter() - t0
-
-    # step 0: capture the initial condition (bridge gates on the flag)
-    t0 = time.perf_counter()
-    snap = snapshot_of(state, producer_id=0, block_origin_index=0)
-    timings.append(TimingRecord(cfg.label, 0, "snapshot_copy", time.perf_counter() - t0))
-    timings.append(TimingRecord(cfg.label, 0, "sink", run_sinks(snap)))
-
-    for _ in range(cfg.steps):
-        t0 = time.perf_counter()
-        state = step(state, cfg.solver)
-        t1 = time.perf_counter()
-        snap = snapshot_of(state, producer_id=0, block_origin_index=0)
-        t2 = time.perf_counter()
-        timings.append(TimingRecord(cfg.label, state.step, "solve", t1 - t0))
-        timings.append(TimingRecord(cfg.label, state.step, "snapshot_copy", t2 - t1))
-        timings.append(TimingRecord(cfg.label, state.step, "sink", run_sinks(snap)))
-
-    summaries = br.finalize()
-    reporting.write_timings(out / "timings.csv", timings)
-    reporting.write_memory(
-        out / "memory.csv", [MemoryRecord(cfg.label, "insitu", measure_memory_hwm())]
-    )
-    bytes_by_key = {
-        (cfg.label, f"sink:{s.kind}"): s.bytes_written for s in summaries
-    }
-    sink_rows = [
-        TimingRecord(cfg.label, -1, f"sink:{s.kind}", s.seconds) for s in summaries
-    ]
-    agg = reporting.aggregate(timings + sink_rows, bytes_by_key)
-    reporting.write_summary(out / "summary.csv", agg)
+    rows = _drive(cfg, br.update, "sink", 1)
+    _write_reports(out, cfg.label, "insitu", rows, br.finalize(), {})
     return out
 
 
@@ -144,71 +172,35 @@ def run_producer(cfg: RunConfig) -> Path:
         raise ValueError(f"no endpoint address (flag or ${ENDPOINT_ENV})")
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    label = cfg.label
-    pid = cfg.producer_id
-    conn = ProducerConnection(ProducerConfig(address, pid))
-    state = init_state(cfg.solver)
-    timings: list[TimingRecord] = []
-    nx = cfg.solver.nx
-
-    def ship(st) -> tuple[float, float]:
-        t0 = time.perf_counter()
-        snap = snapshot_of(st, producer_id=pid, block_origin_index=pid * nx)
-        t1 = time.perf_counter()
-        conn.send_step(snap)
-        return t1 - t0, time.perf_counter() - t1
-
+    conn = ProducerConnection(ProducerConfig(address, cfg.producer_id))
     try:
-        copy_s, send_s = ship(state)
-        timings.append(TimingRecord(label, 0, "snapshot_copy", copy_s))
-        timings.append(TimingRecord(label, 0, "transport", send_s))
-        for _ in range(cfg.steps):
-            t0 = time.perf_counter()
-            state = step(state, cfg.solver)
-            timings.append(TimingRecord(label, state.step, "solve", time.perf_counter() - t0))
-            if state.step % cfg.frequency == 0:
-                copy_s, send_s = ship(state)
-                timings.append(TimingRecord(label, state.step, "snapshot_copy", copy_s))
-                timings.append(TimingRecord(label, state.step, "transport", send_s))
+        rows = _drive(cfg, conn.send_step, "transport", cfg.frequency)
     finally:
         conn.close()
-
-    reporting.write_timings(out / "timings.csv", timings)
-    reporting.write_memory(
-        out / "memory.csv", [MemoryRecord(label, f"producer{pid}", measure_memory_hwm())]
-    )
-    agg = reporting.aggregate(
-        timings, {(label, "transport"): conn.bytes_sent}
-    )
-    reporting.write_summary(out / "summary.csv", agg)
+    _write_reports(out, cfg.label, f"producer{cfg.producer_id}", rows, [],
+                   {"transport": conn.bytes_sent})
     return out
 
 
-def run_endpoint(cfg: RunConfig, listen: str = "127.0.0.1:0",
+def run_endpoint(output_dir: str | Path, bridge_config_path: str | None, label: str,
+                 producers: int, listen: str = "127.0.0.1:0",
                  port_file: str | Path | None = None,
                  step_timeout: float = 120.0) -> Path:
     """In transit endpoint: runs the configured bridge behind the staging
     transport. Writes the bound address to port_file once listening."""
-    out = cfg.output_dir
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    br = _load_bridge(cfg.bridge_config_path)
+    br = _load_bridge(bridge_config_path)
     ep = Endpoint(
-        EndpointConfig(listen, expected_producers=cfg.producers, step_timeout=step_timeout), br
+        EndpointConfig(listen, expected_producers=producers, step_timeout=step_timeout), br
     )
     if port_file:
         tmp = Path(str(port_file) + ".tmp")
         tmp.write_text(ep.address)
         tmp.rename(port_file)  # atomic publish
     summary = ep.serve()
-    sink_summaries = br.finalize()
-    reporting.write_memory(
-        out / "memory.csv", [MemoryRecord(cfg.label, "endpoint", measure_memory_hwm())]
-    )
-    rows = [TimingRecord(cfg.label, -1, f"sink:{s.kind}", s.seconds) for s in sink_summaries]
-    bytes_by_key = {(cfg.label, f"sink:{s.kind}"): s.bytes_written for s in sink_summaries}
-    bytes_by_key[(cfg.label, "endpoint:received")] = summary.bytes_received
-    rows.append(TimingRecord(cfg.label, -1, "endpoint:received", 0.0))
-    reporting.write_summary(out / "summary.csv", reporting.aggregate(rows, bytes_by_key))
+    _write_reports(out, label, "endpoint", [], br.finalize(),
+                   {"endpoint:received": summary.bytes_received})
     lines = [
         f"steps_completed={summary.steps_completed}",
         f"incomplete_steps={summary.incomplete_steps}",
@@ -267,6 +259,7 @@ def run_intransit(cfg: RunConfig) -> Path:
                 "--label", cfg.label,
                 "--nx", str(solver.nx), "--ny", str(solver.ny),
                 "--rayleigh", str(solver.rayleigh), "--prandtl", str(solver.prandtl),
+                "--dt", str(float(solver.dt)),
                 "--seed", str(solver.seed + pid),
                 "--amplitude", str(solver.perturbation_amplitude),
             ]
@@ -275,8 +268,11 @@ def run_intransit(cfg: RunConfig) -> Path:
         for pid, proc in enumerate(producer_procs):
             if proc.wait() != 0:
                 failures.append(f"producer {pid} exited with {proc.returncode}")
-        if ep_proc.wait(timeout=120) != 0:
-            failures.append(f"endpoint exited with {ep_proc.returncode}")
+        try:
+            if ep_proc.wait(timeout=ENDPOINT_EXIT_TIMEOUT) != 0:
+                failures.append(f"endpoint exited with {ep_proc.returncode}")
+        except subprocess.TimeoutExpired:
+            failures.append(f"endpoint did not exit within {ENDPOINT_EXIT_TIMEOUT:g} s")
         if failures:
             raise RuntimeError("; ".join(failures))
     finally:
@@ -301,13 +297,7 @@ def weak_scaling(base: RunConfig, producer_counts: list[int]) -> Path:
         mean, sd = reporting.mean_std(per_step)
         rows.append((p, mean, sd, int(sum(rss) / len(rss))))
 
-    import csv
-
-    with open(out / "scaling.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(reporting.SCALING_HEADER)
-        for p, mean, sd, rss in rows:
-            w.writerow([p, f"{mean:.9f}", f"{sd:.9f}", rss])
+    reporting.write_scaling(out / "scaling.csv", rows)
     chart = reporting.line_chart_svg(
         [(p, mean) for p, mean, _, _ in rows],
         "weak scaling: mean producer time per step",

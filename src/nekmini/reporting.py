@@ -71,6 +71,15 @@ def read_memory(path: str | Path) -> list[MemoryRecord]:
     return [MemoryRecord(r[0], r[1], int(r[2])) for r in rows[1:]]
 
 
+def write_scaling(path: str | Path, rows: list[tuple[int, float, float, int]]):
+    """Rows of (producers, mean_s, stddev_s, peak_rss_mean_bytes)."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(SCALING_HEADER)
+        for p, mean, sd, rss in rows:
+            w.writerow([p, f"{mean:.9f}", f"{sd:.9f}", rss])
+
+
 def mean_std(values: list[float]) -> tuple[float, float]:
     n = len(values)
     m = sum(values) / n

@@ -23,7 +23,6 @@ round-trip float64 bit-exactly.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path

@@ -28,7 +28,7 @@ the staggered fields onto that grid, which pins the wall values exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -163,7 +163,7 @@ def max_divergence(s: SolverState) -> float:
     return float(np.abs(divergence(s.u, s.v, s.dx, s.dy)).max())
 
 
-def _upwind(value: np.ndarray, adv: np.ndarray, back: np.ndarray, fwd: np.ndarray) -> np.ndarray:
+def _upwind(adv: np.ndarray, back: np.ndarray, fwd: np.ndarray) -> np.ndarray:
     return np.where(adv > 0, back, fwd)
 
 
@@ -186,8 +186,8 @@ def step(s: SolverState, p: SolverParams) -> SolverState:
     u_w, u_e = np.roll(u, 1, axis=1), np.roll(u, -1, axis=1)
     ug = np.vstack([-u[:1], u, -u[-1:]])  # no-slip ghosts
     v_at_u = 0.25 * (v[:-1] + v[1:] + np.roll(v, 1, axis=1)[:-1] + np.roll(v, 1, axis=1)[1:])
-    dudx = _upwind(u, u, (u - u_w) / dx, (u_e - u) / dx)
-    dudy = _upwind(u, v_at_u, (ug[1:-1] - ug[:-2]) / dy, (ug[2:] - ug[1:-1]) / dy)
+    dudx = _upwind(u, (u - u_w) / dx, (u_e - u) / dx)
+    dudy = _upwind(v_at_u, (ug[1:-1] - ug[:-2]) / dy, (ug[2:] - ug[1:-1]) / dy)
     lap_u = (u_e - 2 * u + u_w) / dx**2 + (ug[2:] - 2 * u + ug[:-2]) / dy**2
     u_star = u + dt * (-(u * dudx + v_at_u * dudy) + pr * lap_u)
 
@@ -196,8 +196,8 @@ def step(s: SolverState, p: SolverParams) -> SolverState:
     u_e_full = np.roll(u, -1, axis=1)
     u_at_v = 0.25 * (u[:-1] + u_e_full[:-1] + u[1:] + u_e_full[1:])
     vi_w, vi_e = np.roll(vi, 1, axis=1), np.roll(vi, -1, axis=1)
-    dvdx = _upwind(vi, u_at_v, (vi - vi_w) / dx, (vi_e - vi) / dx)
-    dvdy = _upwind(vi, vi, (v[1:-1] - v[:-2]) / dy, (v[2:] - v[1:-1]) / dy)
+    dvdx = _upwind(u_at_v, (vi - vi_w) / dx, (vi_e - vi) / dx)
+    dvdy = _upwind(vi, (v[1:-1] - v[:-2]) / dy, (v[2:] - v[1:-1]) / dy)
     lap_v = (vi_e - 2 * vi + vi_w) / dx**2 + (v[2:] - 2 * vi + v[:-2]) / dy**2
     buoy = ra * pr * 0.5 * (temp[:-1] + temp[1:])
     v_star = v.copy()

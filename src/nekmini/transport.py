@@ -374,7 +374,3 @@ class Endpoint:
         for _, p in ordered:
             p.ok = ok
             p.done.set()
-
-
-def serve_endpoint(cfg: EndpointConfig, bridge) -> EndpointSummary:
-    return Endpoint(cfg, bridge).serve()

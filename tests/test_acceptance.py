@@ -17,7 +17,7 @@ import pytest
 from nekmini import reporting
 from nekmini.bridge import parse_config
 from nekmini.data_model import POINT, Block, FieldArray, Snapshot
-from nekmini.harness import RunConfig, measure_memory_hwm, run_insitu, weak_scaling
+from nekmini.harness import RunConfig, run_insitu, weak_scaling
 from nekmini.sinks import checkpoint_read, checkpoint_write
 from nekmini.solver import (
     SolverParams,
@@ -113,7 +113,7 @@ def storage_runs(tmp_path_factory):
     cheaper, which skews the overhead means of criterion 2."""
     root = tmp_path_factory.mktemp("storage")
     pinned = run_insitu(RunConfig(
-        mode="insitu", solver=SolverParams(), steps=STEPS,
+        solver=SolverParams(), steps=STEPS,
         bridge_config_path=_storage_config(root / "pinned"),
         output_dir=root / "pinned" / "out", label="storage",
     ))
@@ -156,13 +156,13 @@ def overhead_runs(tmp_path_factory):
     means = {name: [] for name in configs}
     solver = SolverParams()
     # discard one warm-up run (cold caches penalize whichever config goes first)
-    run_insitu(RunConfig(mode="insitu", solver=solver, steps=300,
+    run_insitu(RunConfig(solver=solver, steps=300,
                          bridge_config_path=None, output_dir=root / "warmup",
                          label="warmup"))
     for rep in range(3):  # interleave so slow drift hits all configs equally
         for name, cfg_path in configs.items():
             out = run_insitu(RunConfig(
-                mode="insitu", solver=solver, steps=STEPS,
+                solver=solver, steps=STEPS,
                 bridge_config_path=cfg_path, output_dir=root / f"{name}-{rep}",
                 label=name,
             ))
@@ -311,7 +311,7 @@ def test_criterion_4_weak_scaling(tmp_path):
     null_cfg = tmp_path / "null.xml"
     null_cfg.write_text('<sensei><analysis type="null" frequency="100"/></sensei>')
     base = RunConfig(
-        mode="intransit", solver=SolverParams(), steps=400,
+        solver=SolverParams(), steps=400,
         bridge_config_path=str(null_cfg), output_dir=tmp_path / "scale",
         label="weak", frequency=100,
     )

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from nekmini import bridge as bridge_mod
@@ -68,23 +67,22 @@ def test_unknown_attribute_is_warning_not_error(caplog):
 
 
 @pytest.mark.parametrize(
-    "freq,step_no,at_zero,expected",
+    "freq,step_no,expected",
     [
-        (100, 100, True, True),
-        (100, 101, True, False),
-        (100, 0, False, False),
-        (100, 0, True, True),
-        (1, 7, False, True),
+        (100, 100, True),
+        (100, 101, False),
+        (100, 0, True),
+        (1, 7, True),
     ],
 )
-def test_should_trigger(freq, step_no, at_zero, expected):
+def test_should_trigger(freq, step_no, expected):
     spec = AnalysisSpec("null", freq)
-    assert should_trigger(spec, step_no, at_zero) is expected
+    assert should_trigger(spec, step_no) is expected
 
 
 def test_trigger_count_over_run():
-    # 3000 steps at frequency 100 without the step-zero trigger: 30 exactly
-    cfg = BridgeConfig((AnalysisSpec("null", 100),), trigger_at_step_zero=False)
+    # steps 1..3000 at frequency 100: 30 exactly
+    cfg = BridgeConfig((AnalysisSpec("null", 100),))
     br = Bridge(cfg)
     snap = make_snapshot()
     n = 0

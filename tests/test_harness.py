@@ -1,13 +1,15 @@
 """Tests for the benchmark harness: in situ runs, the in transit roles,
 and the process orchestration."""
 
+import csv
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from nekmini import reporting
+from nekmini import harness, reporting
 from nekmini.harness import (
     RunConfig,
     _producer_step_times,
@@ -28,7 +30,6 @@ def small_solver(**kw):
 
 def insitu_config(tmp_path, steps=5, config=None, label="run"):
     return RunConfig(
-        mode="insitu",
         solver=small_solver(),
         steps=steps,
         bridge_config_path=config,
@@ -71,7 +72,7 @@ def test_measure_memory_hwm_excludes_parent_peak():
 
 def test_run_config_validation(tmp_path):
     with pytest.raises(ValueError, match="steps"):
-        RunConfig("insitu", small_solver(), 0, None, tmp_path, "x")
+        RunConfig(small_solver(), 0, None, tmp_path, "x")
 
 
 def test_producer_step_times_exclude_start_up_rendezvous(tmp_path):
@@ -131,6 +132,19 @@ class TestInsitu:
         # triggers at steps 0, 2, 4
         assert len(list(ck.glob("*.vtk"))) == 3
 
+    def test_summary_sums_every_sink_of_one_kind(self, tmp_path):
+        # two checkpoint sinks share the sink:checkpoint row: its bytes are
+        # both directories' files, not the last sink's alone
+        body = "".join(
+            f'<analysis type="checkpoint" frequency="10" format="{fmt}" dir="{tmp_path / fmt}"/>'
+            for fmt in ("binary", "ascii")
+        )
+        out = run_insitu(insitu_config(tmp_path, steps=30, config=write_config(tmp_path, body)))
+        files = [p for fmt in ("binary", "ascii") for p in (tmp_path / fmt).glob("*.vtk")]
+        assert len(files) == 8  # steps 0, 10, 20, 30 in each format
+        summary = reporting.read_summary(out / "summary.csv")
+        assert summary[("run", "sink:checkpoint")][2] == sum(p.stat().st_size for p in files)
+
     def test_empty_config_baseline_writes_nothing_extra(self, tmp_path):
         out = run_insitu(insitu_config(tmp_path, steps=3, label="Original"))
         names = sorted(p.name for p in out.iterdir())
@@ -142,22 +156,19 @@ class TestInsitu:
 class TestIntransitRoles:
     def test_producer_requires_address(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NEKMINI_ENDPOINT", raising=False)
-        cfg = RunConfig("intransit-producer", small_solver(), 2, None,
-                        tmp_path / "p", "x")
+        cfg = RunConfig(small_solver(), 2, None, tmp_path / "p", "x")
         with pytest.raises(ValueError, match="endpoint address"):
             run_producer(cfg)
 
     def test_endpoint_plus_producer_in_threads(self, tmp_path):
         stats = tmp_path / "stats.csv"
         cfg_path = write_config(tmp_path, f'<analysis type="stats" frequency="1" path="{stats}"/>')
-        ep_out = tmp_path / "ep"
-        ep_cfg = RunConfig("intransit-endpoint", small_solver(), 1, cfg_path,
-                           ep_out, "t", producers=1)
         port_file = tmp_path / "addr"
         result = {}
 
         def serve():
-            result["out"] = run_endpoint(ep_cfg, "127.0.0.1:0", port_file, step_timeout=30.0)
+            result["out"] = run_endpoint(tmp_path / "ep", cfg_path, "t", 1, "127.0.0.1:0",
+                                         port_file, step_timeout=30.0)
 
         t = threading.Thread(target=serve, daemon=True)
         t.start()
@@ -169,8 +180,7 @@ class TestIntransitRoles:
             time.sleep(0.02)
         address = port_file.read_text().strip()
 
-        prod_cfg = RunConfig("intransit-producer", small_solver(), 4, None,
-                             tmp_path / "p0", "t", frequency=2,
+        prod_cfg = RunConfig(small_solver(), 4, None, tmp_path / "p0", "t", frequency=2,
                              endpoint_address=address, producer_id=0)
         p_out = run_producer(prod_cfg)
         t.join(timeout=30)
@@ -201,8 +211,8 @@ class TestOrchestration:
         cfg_path = write_config(
             tmp_path, f'<analysis type="checkpoint" frequency="2" dir="{ck}"/>'
         )
-        cfg = RunConfig("intransit", small_solver(), 4, cfg_path,
-                        tmp_path / "out", "orc", producers=2, frequency=2)
+        cfg = RunConfig(small_solver(), 4, cfg_path, tmp_path / "out", "orc",
+                        producers=2, frequency=2)
         out = run_intransit(cfg)
         # merged report
         assert (out / "summary.csv").exists()
@@ -224,7 +234,48 @@ class TestOrchestration:
         # them; instead break things by pointing the bridge at a bad config
         bad = tmp_path / "bad.xml"
         bad.write_text("<sensei><analysis type='warp-drive' frequency='1'/></sensei>")
-        cfg = RunConfig("intransit", small_solver(), 2, str(bad),
-                        tmp_path / "out", "x", producers=1, frequency=1)
+        cfg = RunConfig(small_solver(), 2, str(bad), tmp_path / "out", "x",
+                        producers=1, frequency=1)
         with pytest.raises(RuntimeError):
             run_intransit(cfg)
+
+    def test_run_intransit_passes_dt_to_producers(self, tmp_path):
+        stats = tmp_path / "stats.csv"
+        cfg_path = write_config(tmp_path, f'<analysis type="stats" frequency="1" path="{stats}"/>')
+        cfg = RunConfig(small_solver(dt=1e-6), 2, cfg_path, tmp_path / "out", "dt",
+                        producers=1, frequency=1)
+        run_intransit(cfg)
+        with open(stats, newline="") as f:
+            times = {int(r["step"]): float(r["time"]) for r in csv.DictReader(f)}
+        assert times[1] == 1e-6
+
+    def test_run_intransit_names_failed_producer_when_endpoint_hangs(self, tmp_path,
+                                                                   monkeypatch):
+        killed = []
+
+        class FakeProcess:
+            def __init__(self, cmd):
+                self.role = cmd[3]  # python -m nekmini <role> ...
+                self.returncode = None
+                if self.role == "endpoint":
+                    Path(cmd[cmd.index("--port-file") + 1]).write_text("127.0.0.1:9")
+
+            def poll(self):
+                return self.returncode
+
+            def wait(self, timeout=None):
+                if self.role == "endpoint":
+                    raise subprocess.TimeoutExpired("endpoint", timeout)
+                self.returncode = 1
+                return 1
+
+            def kill(self):
+                killed.append(self.role)
+                self.returncode = -9
+
+        monkeypatch.setattr(harness.subprocess, "Popen", FakeProcess)
+        cfg = RunConfig(small_solver(), 2, None, tmp_path / "out", "x", producers=1, frequency=1)
+        with pytest.raises(RuntimeError) as e:
+            run_intransit(cfg)
+        assert str(e.value) == "producer 0 exited with 1; endpoint did not exit within 120 s"
+        assert killed == ["endpoint"]

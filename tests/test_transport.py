@@ -23,7 +23,7 @@ from nekmini.transport import (
     TransportError,
     parse_address,
 )
-from nekmini.wire import Hello, encode_message
+from nekmini.wire import encode_message
 
 
 class RecordingBridge:
