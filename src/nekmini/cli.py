@@ -56,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--label", default="intransit")
     p.add_argument("--port-file", help="write the bound host:port here once listening")
-    p.add_argument("--step-timeout", type=float, default=120.0)
 
     p = sub.add_parser("producer", help="in transit producer")
     _add_solver_args(p)
@@ -107,8 +106,7 @@ def main(argv: list[str] | None = None) -> int:
 
     elif args.command == "endpoint":
         out = harness.run_endpoint(args.out, args.config, args.label, args.producers,
-                                   listen=args.listen, port_file=args.port_file,
-                                   step_timeout=args.step_timeout)
+                                   listen=args.listen, port_file=args.port_file)
         print(f"endpoint finished: {out}")
 
     elif args.command == "producer":

@@ -30,6 +30,7 @@ from nekmini import reporting
 from nekmini.reporting import MemoryRecord, TimingRecord
 from nekmini.solver import SolverParams, init_state, snapshot_of, step
 from nekmini.transport import (
+    STEP_TIMEOUT,
     Endpoint,
     EndpointConfig,
     ProducerConfig,
@@ -102,7 +103,7 @@ def _drive(cfg: RunConfig, deliver, phase: str, cadence: int) -> list[TimingReco
 
     def ship(st):
         t0 = time.perf_counter()
-        snap = snapshot_of(st, producer_id=pid, block_origin_index=pid * cfg.solver.nx)
+        snap = snapshot_of(st, producer_id=pid)
         t1 = time.perf_counter()
         deliver(snap)
         t2 = time.perf_counter()
@@ -185,7 +186,7 @@ def run_producer(cfg: RunConfig) -> Path:
 def run_endpoint(output_dir: str | Path, bridge_config_path: str | None, label: str,
                  producers: int, listen: str = "127.0.0.1:0",
                  port_file: str | Path | None = None,
-                 step_timeout: float = 120.0) -> Path:
+                 step_timeout: float = STEP_TIMEOUT) -> Path:
     """In transit endpoint: runs the configured bridge behind the staging
     transport. Writes the bound address to port_file once listening."""
     out = Path(output_dir)

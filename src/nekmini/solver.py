@@ -279,18 +279,15 @@ def _point_fields(s: SolverState) -> dict[str, np.ndarray]:
     return {"u": u_pt, "v": v_pt, "temperature": t_pt, "pressure": p_pt}
 
 
-def snapshot_of(s: SolverState, producer_id: int, block_origin_index: int | None = None) -> Snapshot:
+def snapshot_of(s: SolverState, producer_id: int) -> Snapshot:
     """Copy the state into a one-block snapshot on the point grid.
 
-    `block_origin_index` is the global i-index of this block's first
-    point column under the abutting tiling rule (block k owns columns
-    [k*nx, (k+1)*nx - 1]); it defaults to producer_id * nx.
+    The block is placed by the abutting tiling rule: producer k's block
+    owns the global point columns [k*nx, (k+1)*nx - 1].
     """
     pts = _point_fields(s)
     ny, nx = pts["u"].shape
-    if block_origin_index is None:
-        block_origin_index = producer_id * nx
-    o = int(block_origin_index)
+    o = producer_id * nx
     velocity = np.stack([pts["u"], pts["v"]], axis=-1)
     block = Block(
         origin=(o * s.dx, 0.0, 0.0),

@@ -5,7 +5,15 @@ Step semantics are synchronous: a producer sends StepHeader plus one
 BlockPayload per block, then blocks until the endpoint acks that step.
 The endpoint acks only after all K producers delivered the step and the
 analysis bridge has run, so the simulation can never outrun the endpoint
-by more than one in-flight step (backpressure).
+by more than one in-flight step (backpressure). Because of that lock
+step, one thread serves the whole endpoint: a selector loop over the
+listener and every connection handles each connection's next message
+in place.
+
+Both sides give up after STEP_TIMEOUT seconds (120 s by default): a
+producer waiting for an ack, and an endpoint that hears nothing from any
+connection. An idle endpoint then abandons a step still missing some
+producers' blocks, or exits if no producer ever connected.
 
 Failure policy: a producer disconnecting mid-step discards that step;
 producers still waiting receive an ack carrying the ERROR_STEP sentinel,
@@ -16,9 +24,8 @@ different step numbers in the same round are a fatal protocol error.
 from __future__ import annotations
 
 import logging
-import queue
+import selectors
 import socket
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -38,6 +45,9 @@ from nekmini.wire import (
 )
 
 log = logging.getLogger(__name__)
+
+
+STEP_TIMEOUT = 120.0  # s either side waits for the other before giving up
 
 
 class TransportError(RuntimeError):
@@ -101,7 +111,7 @@ class ProducerConfig:
     producer_id: int
     connect_retries: int = 20
     retry_backoff: float = 0.25
-    step_timeout: float = 60.0
+    step_timeout: float = STEP_TIMEOUT
 
 
 class ProducerConnection:
@@ -170,7 +180,7 @@ class ProducerConnection:
 class EndpointConfig:
     listen_address: str = "127.0.0.1:0"
     expected_producers: int = 4  # the fan-in ratio K
-    step_timeout: float = 60.0
+    step_timeout: float = STEP_TIMEOUT
 
 
 @dataclass
@@ -181,14 +191,6 @@ class EndpointSummary:
     producers_seen: int = 0
     rejected_connections: int = 0
     errors: list[str] = field(default_factory=list)
-
-
-class _PendingStep:
-    def __init__(self, header: StepHeader, blocks: list[Block]):
-        self.header = header
-        self.blocks = blocks
-        self.done = threading.Event()
-        self.ok = False
 
 
 class Endpoint:
@@ -203,13 +205,8 @@ class Endpoint:
         self.cfg = cfg
         self.bridge = bridge
         self.summary = EndpointSummary()
-        self._events: queue.Queue = queue.Queue()
-        self._lock = threading.Lock()  # guards registry and summary counters
-        self._registered: set[int] = set()
-        self._aborted = False
         host, port = parse_address(cfg.listen_address)
         self._listener = socket.create_server((host, port))
-        self._threads: list[threading.Thread] = []
 
     @property
     def address(self) -> str:
@@ -217,160 +214,156 @@ class Endpoint:
         return f"{host}:{port}"
 
     def serve(self) -> EndpointSummary:
-        """Run until every accepted producer has left; returns the summary."""
-        accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        accept_thread.start()
-        try:
-            self._coordinate()
-        finally:
-            self._listener.close()
-            for t in list(self._threads):
-                t.join(timeout=5.0)
-        return self.summary
+        """Run until every accepted producer has left; returns the summary.
 
-    # --- connection handling -------------------------------------------
+        Each selector key carries (producer id, or None before its Hello,
+        and its FrameReader). A producer sends nothing between its step
+        and the ack, so a readable connection's whole next message can be
+        read in place.
+        """
+        k, timeout, summary = self.cfg.expected_producers, self.cfg.step_timeout, self.summary
+        sel = selectors.DefaultSelector()
+        sel.register(self._listener, selectors.EVENT_READ)
+        registered: set[int] = set()
+        conns: dict[int, socket.socket] = {}  # registered producers not yet gone
+        pending: dict[int, tuple[StepHeader, list[Block]]] = {}
+        last: list = []  # the previous completed step, see complete()
+        aborted = False
 
-    def _accept_loop(self):
-        while True:
+        def close(conn: socket.socket):
+            summary.bytes_received += sel.unregister(conn).data[1].bytes_consumed
+            conn.close()
+
+        def depart(pid: int, reason: str | None = None):
+            nonlocal aborted
+            close(conns.pop(pid))
+            pending.pop(pid, None)
+            if reason is not None:
+                summary.errors.append(reason)
+                if pending:
+                    fail(f"step discarded: {reason}")
+                aborted = True
+
+        def ack(pids: list[int], step: int):
+            for pid in pids:
+                try:
+                    conns[pid].sendall(encode_message(StepAck(step)))
+                except OSError as e:
+                    depart(pid, f"producer {pid}: {e}")
+                    continue
+                if step == ERROR_STEP:
+                    depart(pid, f"producer {pid}: connection closed")
+
+        def fail(reason: str):
+            nonlocal aborted
+            summary.incomplete_steps += 1
+            summary.errors.append(reason)
+            aborted = True
+            pids = list(pending)
+            pending.clear()
+            ack(pids, ERROR_STEP)
+
+        def complete():
+            ordered = sorted(pending.items())
+            pending.clear()
+            # Hold this step's arrays until the next step completes. Freed
+            # while the next frame is read, they let glibc trim the heap, and
+            # that frame's copies fault in fresh pages: +20% on a 512x512
+            # round trip on a 2-CPU Linux host.
+            last[:] = ordered
+            header = ordered[0][1][0]
             try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            t = threading.Thread(target=self._serve_connection, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def _serve_connection(self, conn: socket.socket):
-        reader = FrameReader(conn)
-        pid: int | None = None
-        try:
-            hello = reader.recv_message(self.cfg.step_timeout)
-            if not isinstance(hello, Hello):
-                raise ProtocolError(f"expected Hello, got {type(hello).__name__}")
-            with self._lock:
-                accept = (
-                    hello.producer_id not in self._registered
-                    and len(self._registered) < self.cfg.expected_producers
-                    and not self._aborted
+                global_block = assemble_global([b for _, (_, blocks) in ordered for b in blocks])
+                snapshot = Snapshot(
+                    time=header.time, step=header.step, producer_id=0, blocks=(global_block,)
                 )
-                if accept:
-                    self._registered.add(hello.producer_id)
-                    self.summary.producers_seen += 1
-                else:
-                    self.summary.rejected_connections += 1
-            conn.sendall(encode_message(HelloAck(accept)))
-            if not accept:
-                return
-            pid = hello.producer_id
+                self.bridge.update(snapshot)
+                summary.steps_completed += 1
+                step = header.step
+            except Exception as e:
+                summary.errors.append(f"step {header.step}: {type(e).__name__}: {e}")
+                summary.incomplete_steps += 1
+                step = ERROR_STEP
+            ack([pid for pid, _ in ordered], step)
 
-            while True:
-                msg = reader.recv_message(None)
+        def greet(conn: socket.socket, reader: FrameReader):
+            try:
+                hello = reader.recv_message(timeout)
+                if not isinstance(hello, Hello):
+                    raise ProtocolError(f"expected Hello, got {type(hello).__name__}")
+                pid = hello.producer_id
+                accept = pid not in registered and len(registered) < k and not aborted
+                if not accept:
+                    summary.rejected_connections += 1
+                conn.sendall(encode_message(HelloAck(accept)))
+            except (TransportError, ProtocolError, OSError):
+                accept = False
+            if not accept:
+                close(conn)
+                return
+            registered.add(pid)
+            summary.producers_seen += 1
+            conns[pid] = conn
+            sel.modify(conn, selectors.EVENT_READ, (pid, reader))
+
+        def receive(pid: int, reader: FrameReader):
+            try:
+                msg = reader.recv_message(timeout)
+                if pid in pending:
+                    raise ProtocolError(f"{type(msg).__name__} before the ack of step "
+                                        f"{pending[pid][0].step}")
                 if isinstance(msg, Bye):
-                    self._events.put(("bye", pid, None))
-                    pid = None  # departed cleanly; no "gone" event on close
+                    depart(pid)
                     return
                 if not isinstance(msg, StepHeader):
                     raise ProtocolError(f"expected StepHeader or Bye, got {type(msg).__name__}")
                 blocks = []
                 for _ in range(msg.block_count):
-                    payload = reader.recv_message(self.cfg.step_timeout)
+                    payload = reader.recv_message(timeout)
                     if not isinstance(payload, BlockPayload):
                         raise ProtocolError(f"expected BlockPayload, got {type(payload).__name__}")
                     blocks.append(payload.block)
-                pending = _PendingStep(msg, blocks)
-                self._events.put(("step", pid, pending))
-                pending.done.wait()
-                conn.sendall(encode_message(StepAck(msg.step if pending.ok else ERROR_STEP)))
-                if not pending.ok:
-                    return
-        except (TransportError, ProtocolError, OSError) as e:
-            if pid is not None:
-                self._events.put(("gone", pid, f"producer {pid}: {e}"))
-                pid = None
-        finally:
-            with self._lock:
-                self.summary.bytes_received += reader.bytes_consumed
-            if pid is not None:
-                self._events.put(("gone", pid, f"producer {pid}: connection closed"))
-            conn.close()
-
-    # --- step coordination ----------------------------------------------
-
-    def _coordinate(self):
-        k = self.cfg.expected_producers
-        departed: set[int] = set()
-        pending: dict[int, _PendingStep] = {}
-
-        def fail_pending(reason: str):
-            self.summary.incomplete_steps += 1
-            self.summary.errors.append(reason)
-            for p in pending.values():
-                p.ok = False
-                p.done.set()
-            pending.clear()
-
-        def all_departed() -> bool:
-            with self._lock:
-                reg = set(self._registered)
-            return bool(reg) and departed >= reg and (len(reg) == k or self._aborted)
-
-        while True:
-            try:
-                kind, pid, payload = self._events.get(timeout=self.cfg.step_timeout)
-            except queue.Empty:
-                if pending:
-                    fail_pending(
-                        f"timed out after {self.cfg.step_timeout}s waiting for stragglers "
-                        f"at step {next(iter(pending.values())).header.step}"
-                    )
-                    self._aborted = True
+            except (TransportError, ProtocolError, OSError) as e:
+                depart(pid, f"producer {pid}: {e}")
+                return
+            if aborted:
+                ack([pid], ERROR_STEP)
+                return
+            pending[pid] = (msg, blocks)
+            if len(pending) == k:
+                steps = {header.step for header, _ in pending.values()}
+                if len(steps) != 1:
+                    fail(f"producers disagree on step: {sorted(steps)}")
                 else:
-                    with self._lock:
-                        reg = set(self._registered)
-                    if reg and departed >= reg:
-                        return  # idle and everyone who joined has left
-                continue
+                    complete()
 
-            if kind == "step":
-                if self._aborted:
-                    payload.ok = False
-                    payload.done.set()
-                    continue
-                pending[pid] = payload
-                if len(pending) == k:
-                    steps = {p.header.step for p in pending.values()}
-                    if len(steps) != 1:
-                        fail_pending(f"producers disagree on step: {sorted(steps)}")
-                        self._aborted = True
-                        continue
-                    self._complete_step(pending)
-                    pending.clear()
-            else:  # bye / gone
-                departed.add(pid)
-                if kind == "gone":
-                    self.summary.errors.append(payload)
-                    if pending:
-                        fail_pending(f"step discarded: {payload}")
-                    self._aborted = True
-                if all_departed():
-                    return
-
-    def _complete_step(self, pending: dict[int, _PendingStep]):
-        ordered = sorted(pending.items())
-        blocks = [b for _, p in ordered for b in p.blocks]
-        header = ordered[0][1].header
         try:
-            global_block = assemble_global(blocks)
-            snapshot = Snapshot(
-                time=header.time, step=header.step, producer_id=0, blocks=(global_block,)
-            )
-            self.bridge.update(snapshot)
-            self.summary.steps_completed += 1
-            ok = True
-        except Exception as e:
-            self.summary.errors.append(f"step {header.step}: {type(e).__name__}: {e}")
-            self.summary.incomplete_steps += 1
-            ok = False
-        for _, p in ordered:
-            p.ok = ok
-            p.done.set()
+            while not (registered and not conns and (len(registered) == k or aborted)):
+                events = sel.select(timeout)
+                if not events:
+                    if pending:
+                        step = next(iter(pending.values()))[0].step
+                        fail(f"timed out after {timeout}s waiting for stragglers at step {step}")
+                    elif not registered:
+                        summary.errors.append(f"no producer connected within {timeout}s")
+                        break
+                    elif not conns:
+                        break  # idle and everyone who joined has left
+                    continue
+                for key, _ in events:
+                    if key.fileobj is self._listener:
+                        conn, _ = self._listener.accept()
+                        sel.register(conn, selectors.EVENT_READ, (None, FrameReader(conn)))
+                        continue
+                    pid, reader = key.data
+                    if pid is None:
+                        greet(key.fileobj, reader)
+                    elif conns.get(pid) is key.fileobj:  # not dropped earlier in this batch
+                        receive(pid, reader)
+        finally:
+            for key in list(sel.get_map().values()):
+                if key.fileobj is not self._listener:
+                    close(key.fileobj)
+            sel.close()
+            self._listener.close()
+        return summary

@@ -283,6 +283,7 @@ def test_criterion_3_in_transit_fidelity():
         for t in threads:
             t.join(timeout=30)
         serve.join(timeout=30)
+        assert not serve.is_alive()
         assert ep.summary.steps_completed == 3
         for idx, step_no in enumerate((0, 100, 200)):
             got = bridge.snapshots[idx]
@@ -356,6 +357,7 @@ def test_criterion_5_backpressure():
         elapsed.append(time.perf_counter() - t0)
     conn.close()
     serve.join(timeout=30)
+    assert not serve.is_alive()
     mean = sum(elapsed) / len(elapsed)
     _verdict(
         5, "backpressure",

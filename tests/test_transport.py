@@ -120,6 +120,7 @@ def test_four_producers_assemble_in_pid_order():
     for th in threads:
         th.join(timeout=15)
     t.join(timeout=10)
+    assert not t.is_alive()
     assert errs == []
     assert ep.summary.steps_completed == 1
     s = bridge.snapshots[0]
@@ -149,6 +150,7 @@ def test_duplicate_producer_id_rejected():
     a.close()
     b.close()
     t.join(timeout=10)
+    assert not t.is_alive()
     assert ep.summary.steps_completed == 1
     assert ep.summary.rejected_connections == 1
 
@@ -160,6 +162,7 @@ def test_extra_producer_beyond_k_rejected():
         connect(ep, 1)
     a.close()
     t.join(timeout=10)
+    assert not t.is_alive()
     assert ep.summary.rejected_connections == 1
 
 
@@ -173,6 +176,7 @@ def test_ack_is_synchronous_backpressure():
     elapsed = time.monotonic() - t0
     conn.close()
     t.join(timeout=10)
+    assert not t.is_alive()
     assert elapsed >= 0.2
 
 
@@ -196,6 +200,7 @@ def test_disconnect_mid_round_discards_step_and_error_acks_peer():
     b.sock.close()  # b vanishes without sending its step
     th.join(timeout=10)
     t.join(timeout=10)
+    assert not t.is_alive()
     assert "abandoned" in results["a"]
     assert bridge.snapshots == []
     assert ep.summary.steps_completed == 0
@@ -221,6 +226,7 @@ def test_step_mismatch_is_fatal():
     ta.start(); tb.start()
     ta.join(timeout=10); tb.join(timeout=10)
     t.join(timeout=10)
+    assert not t.is_alive()
     assert results["a"] != "acked" and results["b"] != "acked"
     assert bridge.snapshots == []
     assert any("disagree" in e for e in ep.summary.errors)
@@ -233,8 +239,37 @@ def test_bridge_failure_error_acks_producers():
     with pytest.raises(ProtocolError, match="abandoned"):
         conn.send_step(producer_snapshot(0, 100))
     t.join(timeout=10)
+    assert not t.is_alive()
     assert ep.summary.steps_completed == 1
     assert ep.summary.incomplete_steps == 1
+
+
+def test_endpoint_exits_when_no_producer_connects():
+    ep, _, t = start_endpoint(k=2, step_timeout=0.5)
+    t.join(timeout=5)
+    assert not t.is_alive()
+    assert ep.summary.errors == ["no producer connected within 0.5s"]
+    assert ep.summary.steps_completed == 0
+
+
+def test_silent_connection_does_not_stall_registered_producer():
+    # a client that connects and never says Hello holds a socket open at
+    # the endpoint; the one registered producer's steps still complete
+    # well within the endpoint's timeout, and serve() ends at its Bye
+    ep, bridge, t = start_endpoint(k=1, step_timeout=30.0)
+    silent = socket.create_connection(parse_address(ep.address))
+    try:
+        conn = connect(ep, 0, step_timeout=2.0)
+        for step in (0, 100, 200):
+            assert conn.send_step(producer_snapshot(0, step)) == step
+        conn.close()
+        t.join(timeout=10)
+        assert not t.is_alive()
+    finally:
+        silent.close()
+    assert [s.step for s in bridge.snapshots] == [0, 100, 200]
+    assert ep.summary.steps_completed == 3
+    assert ep.summary.errors == []
 
 
 def test_producer_ack_timeout():
@@ -281,6 +316,7 @@ def test_producer_retries_until_endpoint_appears():
     assert conn.send_step(producer_snapshot(0, 0)) == 0
     conn.close()
     th.join(timeout=10)
+    assert not th.is_alive()
     assert holder["ep"].summary.steps_completed == 1
 
 
@@ -298,6 +334,7 @@ def test_fidelity_bit_exact_through_transport():
     conn.send_step(s)
     conn.close()
     t.join(timeout=10)
+    assert not t.is_alive()
     got = bridge.snapshots[0].blocks[0]
     sent = s.blocks[0]
     for f in sent.fields:
