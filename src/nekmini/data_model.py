@@ -28,9 +28,15 @@ CELL = "cell"
 class FieldArray:
     """A named array attached to a block.
 
-    values is always a flat, C-contiguous float64 array of length
-    components * entity_count, where the entity count (points or cells)
-    is implied by the owning block's extents.
+    values is always a flat, C-contiguous, read-only float64 array of
+    length components * entity_count, where the entity count (points or
+    cells) is implied by the owning block's extents.
+
+    A values array that is already read-only, 1-D, C-contiguous float64
+    (a decoded wire field, a frozen assembly result) is adopted as it is;
+    whoever made it read-only must not write it through another view.
+    Anything else, such as the solver's writeable arrays, is copied, so a
+    later change to the source never shows in the field.
     """
 
     name: str
@@ -39,7 +45,11 @@ class FieldArray:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True).ravel()
+        v = self.values
+        if (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim == 1
+                and v.flags.c_contiguous and not v.flags.writeable):
+            return
+        vals = np.array(v, dtype=np.float64, copy=True).ravel()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -218,6 +228,7 @@ def assemble_global(blocks: list[Block]) -> Block:
             raise SchemaMismatch("cell-centered tiling across blocks is unsupported")
         parts = [_grid(b.fields[fi], b.dims) for b in blocks]
         merged = np.concatenate(parts, axis=2)  # x is the fastest grid axis
+        merged.setflags(write=False)  # so FieldArray adopts it without a copy
         out_fields.append(FieldArray(name, assoc, comps, merged.ravel()))
 
     return Block(first.origin, first.spacing, global_extents, tuple(out_fields))

@@ -86,23 +86,23 @@ def _encode_vtk(block: Block, step: int, producer: int, time: float, format: str
     ]
     point_fields = [f for f in block.fields if f.association == POINT]
     cell_fields = [f for f in block.fields if f.association == CELL]
-    out = ("\n".join(lines) + "\n").encode("ascii")
+    parts = [("\n".join(lines) + "\n").encode("ascii")]
     for assoc, group in ((POINT, point_fields), (CELL, cell_fields)):
         if not group:
             continue
         count = block.entity_count(assoc)
-        out += f"{_ASSOC_CODE[assoc]} {count}\n".encode("ascii")
-        out += f"FIELD FieldData {len(group)}\n".encode("ascii")
+        parts.append(f"{_ASSOC_CODE[assoc]} {count}\n".encode("ascii"))
+        parts.append(f"FIELD FieldData {len(group)}\n".encode("ascii"))
         for f in group:
-            out += f"{f.name} {f.components} {count} double\n".encode("ascii")
+            parts.append(f"{f.name} {f.components} {count} double\n".encode("ascii"))
             if format == "binary":
-                out += f.values.astype(">f8").tobytes()
+                parts.append(f.values.astype(">f8").tobytes())
             else:
-                vals = [f"{x:.17g}" for x in f.values]
-                for i in range(0, len(vals), 9):
-                    out += (" ".join(vals[i:i + 9])).encode("ascii") + b"\n"
-            out += b"\n"
-    return out
+                vals = [f"{x:.17g}" for x in f.values.tolist()]
+                parts.append("".join(" ".join(vals[i:i + 9]) + "\n"
+                                     for i in range(0, len(vals), 9)).encode("ascii"))
+            parts.append(b"\n")
+    return b"".join(parts)
 
 
 def checkpoint_read(path: str | Path) -> Snapshot:

@@ -10,6 +10,12 @@ step, one thread serves the whole endpoint: a selector loop over the
 listener and every connection handles each connection's next message
 in place.
 
+Both sides read frames with a FrameReader: it reads a frame's 14-byte
+header, checks it, then reads exactly the payload it declares into one
+buffer of the frame's size and decodes the frame once, so receiving is
+linear in the payload size. Decoded field values are read-only views
+over that buffer, which the data model adopts without a copy.
+
 Both sides give up after STEP_TIMEOUT seconds (120 s by default): a
 producer waiting for an ack, and an endpoint that hears nothing from any
 connection. An idle endpoint then abandons a step still missing some
@@ -32,6 +38,7 @@ from dataclasses import dataclass, field
 from nekmini.data_model import Block, Snapshot, assemble_global
 from nekmini.wire import (
     ERROR_STEP,
+    HEADER,
     BlockPayload,
     Bye,
     Hello,
@@ -40,6 +47,7 @@ from nekmini.wire import (
     StepAck,
     StepHeader,
     WireMessage,
+    check_header,
     decode_message,
     encode_message,
 )
@@ -70,21 +78,32 @@ def parse_address(text: str) -> tuple[str, int]:
 
 
 class FrameReader:
-    """Incremental frame decoder over a socket."""
+    """Reads whole frames from a socket, each byte once.
+
+    The header is checked before anything is allocated; the payload is
+    read into the frame's buffer and never past it, so nothing is held
+    between frames. After AckTimeout or ConnectionLost the stream is not
+    at a frame boundary, and neither side reads from it again.
+    """
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.buf = bytearray()
         self.bytes_consumed = 0
 
     def recv_message(self, timeout: float | None = None) -> WireMessage:
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            msg, consumed = decode_message(bytes(self.buf))
-            if msg is not None:
-                del self.buf[:consumed]
-                self.bytes_consumed += consumed
-                return msg
+        header = bytearray(HEADER.size)
+        self._recv_into(memoryview(header), deadline)
+        _, total = check_header(header)
+        frame = bytearray(total)
+        frame[:HEADER.size] = header
+        self._recv_into(memoryview(frame)[HEADER.size:], deadline)
+        msg, _ = decode_message(frame)
+        self.bytes_consumed += total
+        return msg
+
+    def _recv_into(self, view: memoryview, deadline: float | None):
+        while view:
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -93,12 +112,12 @@ class FrameReader:
             else:
                 self.sock.settimeout(None)
             try:
-                chunk = self.sock.recv(1 << 16)
+                n = self.sock.recv_into(view)
             except socket.timeout:
                 raise AckTimeout("timed out waiting for a frame") from None
-            if not chunk:
+            if not n:
                 raise ConnectionLost("connection closed by peer")
-            self.buf.extend(chunk)
+            view = view[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +141,18 @@ class ProducerConnection:
         self.bytes_sent = 0
         self.sock = self._connect()
         self.reader = FrameReader(self.sock)
-        self._send(Hello(cfg.producer_id))
-        ack = self.reader.recv_message(cfg.step_timeout)
-        if not isinstance(ack, HelloAck):
-            raise ProtocolError(f"expected HelloAck, got {type(ack).__name__}")
-        if not ack.accepted:
-            raise TransportError(
-                f"endpoint rejected producer {cfg.producer_id} (duplicate id or endpoint full)"
-            )
+        try:
+            self._send(Hello(cfg.producer_id))
+            ack = self.reader.recv_message(cfg.step_timeout)
+            if not isinstance(ack, HelloAck):
+                raise ProtocolError(f"expected HelloAck, got {type(ack).__name__}")
+            if not ack.accepted:
+                raise TransportError(
+                    f"endpoint rejected producer {cfg.producer_id} (duplicate id or endpoint full)"
+                )
+        except BaseException:
+            self.sock.close()
+            raise
 
     def _connect(self) -> socket.socket:
         host, port = parse_address(self.cfg.endpoint_address)
@@ -227,7 +250,6 @@ class Endpoint:
         registered: set[int] = set()
         conns: dict[int, socket.socket] = {}  # registered producers not yet gone
         pending: dict[int, tuple[StepHeader, list[Block]]] = {}
-        last: list = []  # the previous completed step, see complete()
         aborted = False
 
         def close(conn: socket.socket):
@@ -266,11 +288,6 @@ class Endpoint:
         def complete():
             ordered = sorted(pending.items())
             pending.clear()
-            # Hold this step's arrays until the next step completes. Freed
-            # while the next frame is read, they let glibc trim the heap, and
-            # that frame's copies fault in fresh pages: +20% on a 512x512
-            # round trip on a 2-CPU Linux host.
-            last[:] = ordered
             header = ordered[0][1][0]
             try:
                 global_block = assemble_global([b for _, (_, blocks) in ordered for b in blocks])

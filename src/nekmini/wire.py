@@ -13,6 +13,13 @@ Block payload marshaling: origin 3*f64, spacing 3*f64, extents 6*i64,
 field count u32, then per field: name length u16 + UTF-8 bytes,
 association u8 (0 point, 1 cell), components u32, value count u64,
 values f64[].
+
+Every message but BlockPayload has one fixed payload length, so
+check_header can reject a bad frame from its 14-byte header alone, before
+a reader reads exactly the declared payload. A BlockPayload frame is
+encoded into one preallocated buffer (one copy per field) and decoded
+with none: each field's values are a read-only float64 view over the
+frame, which FieldArray adopts as it is.
 """
 
 from __future__ import annotations
@@ -34,6 +41,21 @@ TAG_STEP_HEADER = 0x03
 TAG_BLOCK_PAYLOAD = 0x04
 TAG_STEP_ACK = 0x05
 TAG_BYE = 0x06
+
+_HELLO = struct.Struct("<II")  # producer id, reserved flags
+_HELLO_ACK = struct.Struct("<B")
+_STEP_HEADER = struct.Struct("<QdI")  # step, time, block count
+_STEP_ACK = struct.Struct("<Q")
+# every message but BlockPayload has a payload of one fixed length
+_FIXED = {
+    TAG_HELLO: ("Hello", _HELLO),
+    TAG_HELLO_ACK: ("HelloAck", _HELLO_ACK),
+    TAG_STEP_HEADER: ("StepHeader", _STEP_HEADER),
+    TAG_STEP_ACK: ("StepAck", _STEP_ACK),
+    TAG_BYE: ("Bye", struct.Struct("<")),
+}
+_BLOCK_FIXED = struct.Struct("<3d3d6qI")  # origin, spacing, extents, field count
+_FIELD_HEAD = struct.Struct("<BIQ")  # association, components, value count
 
 DEFAULT_MAX_PAYLOAD = 1 << 30  # 1 GiB
 
@@ -82,108 +104,127 @@ class Bye:
 WireMessage = Hello | HelloAck | StepHeader | BlockPayload | StepAck | Bye
 
 
-def encode_block(b: Block) -> bytes:
-    parts = [
-        struct.pack("<3d", *b.origin),
-        struct.pack("<3d", *b.spacing),
-        struct.pack("<6q", *b.extents),
-        struct.pack("<I", len(b.fields)),
-    ]
-    for f in b.fields:
-        name = f.name.encode("utf-8")
-        parts.append(struct.pack("<H", len(name)))
-        parts.append(name)
-        parts.append(struct.pack("<BIQ", 0 if f.association == POINT else 1,
-                                 f.components, f.values.size))
-        parts.append(f.values.astype("<f8").tobytes())
-    return b"".join(parts)
+def _pack_block(b: Block, offset: int) -> bytearray:
+    """Marshal b into a new buffer, starting `offset` bytes in."""
+    names = [f.name.encode("utf-8") for f in b.fields]
+    size = _BLOCK_FIXED.size + sum(2 + len(name) + _FIELD_HEAD.size + 8 * f.values.size
+                                   for f, name in zip(b.fields, names))
+    buf = bytearray(offset + size)
+    _BLOCK_FIXED.pack_into(buf, offset, *b.origin, *b.spacing, *b.extents, len(b.fields))
+    pos = offset + _BLOCK_FIXED.size
+    for f, name in zip(b.fields, names):
+        struct.pack_into("<H", buf, pos, len(name)); pos += 2
+        buf[pos:pos + len(name)] = name; pos += len(name)
+        _FIELD_HEAD.pack_into(buf, pos, 0 if f.association == POINT else 1,
+                              f.components, f.values.size); pos += _FIELD_HEAD.size
+        end = pos + 8 * f.values.size
+        buf[pos:end] = memoryview(np.ascontiguousarray(f.values, "<f8")).cast("B")
+        pos = end
+    return buf
 
 
-def decode_block(buf: bytes) -> Block:
+def encode_block(b: Block) -> bytearray:
+    return _pack_block(b, 0)
+
+
+def decode_block(buf) -> Block:
+    """Unmarshal a block payload; its fields are read-only views over buf."""
+    view = memoryview(buf).toreadonly()
     try:
-        pos = 0
-        origin = struct.unpack_from("<3d", buf, pos); pos += 24
-        spacing = struct.unpack_from("<3d", buf, pos); pos += 24
-        extents = struct.unpack_from("<6q", buf, pos); pos += 48
-        (nfields,) = struct.unpack_from("<I", buf, pos); pos += 4
+        *geometry, nfields = _BLOCK_FIXED.unpack_from(view)
+        pos = _BLOCK_FIXED.size
         fields = []
         for _ in range(nfields):
-            (nlen,) = struct.unpack_from("<H", buf, pos); pos += 2
-            name = buf[pos:pos + nlen].decode("utf-8"); pos += nlen
-            assoc_code, comps, nvals = struct.unpack_from("<BIQ", buf, pos); pos += 13
+            (nlen,) = struct.unpack_from("<H", view, pos); pos += 2
+            name = str(view[pos:pos + nlen], "utf-8"); pos += nlen
+            assoc_code, comps, nvals = _FIELD_HEAD.unpack_from(view, pos); pos += _FIELD_HEAD.size
             end = pos + 8 * nvals
-            if end > len(buf):
+            if end > len(view):
                 raise ProtocolError("truncated block payload")
-            values = np.frombuffer(buf[pos:end], dtype="<f8").astype(np.float64)
+            values = np.frombuffer(view, "<f8", nvals, pos)
             pos = end
             fields.append(FieldArray(name, POINT if assoc_code == 0 else CELL, comps, values))
-        if pos != len(buf):
-            raise ProtocolError(f"{len(buf) - pos} trailing bytes in block payload")
-        return Block(origin, spacing, extents, tuple(fields))
+        if pos != len(view):
+            raise ProtocolError(f"{len(view) - pos} trailing bytes in block payload")
+        return Block(geometry[0:3], geometry[3:6], geometry[6:12], tuple(fields))
     except struct.error as e:
         raise ProtocolError(f"truncated block payload: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ProtocolError(f"field name is not UTF-8: {e}") from e
 
 
-def encode_message(m: WireMessage) -> bytes:
+def encode_message(m: WireMessage) -> bytes | bytearray:
+    """One whole frame. A BlockPayload frame is written into one buffer,
+    which holds the only copy of each field's values."""
+    if isinstance(m, BlockPayload):
+        buf = _pack_block(m.block, HEADER.size)
+        HEADER.pack_into(buf, 0, MAGIC, VERSION, TAG_BLOCK_PAYLOAD, len(buf) - HEADER.size)
+        return buf
+    version = VERSION
     if isinstance(m, Hello):
-        tag, payload = TAG_HELLO, struct.pack("<II", m.producer_id, 0)  # id + reserved flags
+        tag, payload = TAG_HELLO, _HELLO.pack(m.producer_id, 0)  # id + reserved flags
         version = m.protocol_version
+    elif isinstance(m, HelloAck):
+        tag, payload = TAG_HELLO_ACK, _HELLO_ACK.pack(1 if m.accepted else 0)
+    elif isinstance(m, StepHeader):
+        tag, payload = TAG_STEP_HEADER, _STEP_HEADER.pack(m.step, m.time, m.block_count)
+    elif isinstance(m, StepAck):
+        tag, payload = TAG_STEP_ACK, _STEP_ACK.pack(m.step)
+    elif isinstance(m, Bye):
+        tag, payload = TAG_BYE, b""
     else:
-        version = VERSION
-        if isinstance(m, HelloAck):
-            tag, payload = TAG_HELLO_ACK, struct.pack("<B", 1 if m.accepted else 0)
-        elif isinstance(m, StepHeader):
-            tag, payload = TAG_STEP_HEADER, struct.pack("<QdI", m.step, m.time, m.block_count)
-        elif isinstance(m, BlockPayload):
-            tag, payload = TAG_BLOCK_PAYLOAD, encode_block(m.block)
-        elif isinstance(m, StepAck):
-            tag, payload = TAG_STEP_ACK, struct.pack("<Q", m.step)
-        elif isinstance(m, Bye):
-            tag, payload = TAG_BYE, b""
-        else:
-            raise TypeError(f"not a wire message: {m!r}")
+        raise TypeError(f"not a wire message: {m!r}")
     return HEADER.pack(MAGIC, version, tag, len(payload)) + payload
 
 
-def decode_message(buf: bytes, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[WireMessage | None, int]:
-    """Decode one frame from the head of buf.
+def check_header(buf, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[int, int]:
+    """Check the frame header at the head of buf; returns (tag, frame length).
 
-    Returns (message, bytes consumed), or (None, 0) when more bytes are
-    needed. Raises ProtocolError on malformed frames.
+    Needs only the HEADER.size header bytes, so a reader can reject a bad
+    frame before it allocates room for the payload. Raises ProtocolError on
+    a bad magic, version or tag, a fixed-size message of the wrong length,
+    or a declared length over max_payload.
     """
-    if len(buf) < HEADER.size:
-        return None, 0
     magic, version, tag, length = HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ProtocolError(f"unknown protocol version {version}")
+    if tag in _FIXED:
+        name, layout = _FIXED[tag]
+        if length != layout.size:
+            raise ProtocolError(f"{name} payload must be {layout.size} bytes, got {length}")
+    elif tag != TAG_BLOCK_PAYLOAD:
+        raise ProtocolError(f"unknown message tag 0x{tag:02x}")
     if length > max_payload:
         raise ProtocolError(f"declared payload length {length} exceeds cap {max_payload}")
-    total = HEADER.size + length
+    return tag, HEADER.size + length
+
+
+def decode_message(buf, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[WireMessage | None, int]:
+    """Decode one frame from the head of buf (any bytes-like object).
+
+    Returns (message, bytes consumed), or (None, 0) when more bytes are
+    needed. Raises ProtocolError on malformed frames. The payload is not
+    copied: a BlockPayload's field values are read-only views over buf.
+    """
+    if len(buf) < HEADER.size:
+        return None, 0
+    tag, total = check_header(buf, max_payload)
     if len(buf) < total:
         return None, 0
-    payload = bytes(buf[HEADER.size:total])
-
+    payload = memoryview(buf)[HEADER.size:total]
+    if tag == TAG_BLOCK_PAYLOAD:
+        return BlockPayload(decode_block(payload)), total
+    fields = _FIXED[tag][1].unpack(payload)
     if tag == TAG_HELLO:
-        if len(payload) != 8:
-            raise ProtocolError("Hello payload must be 8 bytes")
-        producer_id, _flags = struct.unpack("<II", payload)
-        msg: WireMessage = Hello(producer_id, version)
+        msg: WireMessage = Hello(fields[0], VERSION)
     elif tag == TAG_HELLO_ACK:
-        msg = HelloAck(bool(payload[0]))
+        msg = HelloAck(bool(fields[0]))
     elif tag == TAG_STEP_HEADER:
-        step, time, block_count = struct.unpack("<QdI", payload)
-        msg = StepHeader(step, time, block_count)
-    elif tag == TAG_BLOCK_PAYLOAD:
-        msg = BlockPayload(decode_block(payload))
+        msg = StepHeader(*fields)
     elif tag == TAG_STEP_ACK:
-        (step,) = struct.unpack("<Q", payload)
-        msg = StepAck(step)
-    elif tag == TAG_BYE:
-        if payload:
-            raise ProtocolError("Bye carries no payload")
-        msg = Bye()
+        msg = StepAck(fields[0])
     else:
-        raise ProtocolError(f"unknown message tag 0x{tag:02x}")
+        msg = Bye()
     return msg, total

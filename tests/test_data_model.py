@@ -133,3 +133,42 @@ def test_field_values_are_immutable():
     f = FieldArray("s", POINT, 1, np.zeros(4))
     with pytest.raises(ValueError):
         f.values[0] = 1.0
+
+
+def test_field_copies_a_writeable_source():
+    src = np.arange(4.0)
+    f = FieldArray("s", POINT, 1, src)
+    src[0] = 99.0
+    assert f.values[0] == 0.0
+    assert not np.shares_memory(f.values, src)
+
+
+def test_field_adopts_a_read_only_flat_float64_array():
+    src = np.arange(4.0)
+    src.setflags(write=False)
+    assert FieldArray("s", POINT, 1, src).values is src
+
+
+@pytest.mark.parametrize("src", [
+    np.arange(8.0).reshape(2, 4),  # not 1-D
+    np.arange(8.0)[::2],  # not contiguous
+    np.arange(4, dtype=np.float32),  # not float64
+    np.arange(4.0).astype(">f8"),  # not native byte order
+], ids=["2-D", "strided", "float32", "big-endian"])
+def test_field_copies_any_other_read_only_array(src):
+    src.setflags(write=False)
+    f = FieldArray("s", POINT, 1, src)
+    assert not np.shares_memory(f.values, src)
+    assert f.values.dtype == np.float64 and f.values.ndim == 1
+    assert not f.values.flags.writeable
+    assert np.array_equal(f.values, src.ravel())
+
+
+def test_assembled_fields_are_frozen_concatenations():
+    a, b = make_block(2, 3), make_block(2, 3, origin_i=2, seed=1)
+    g = assemble_global([a, b])
+    v = g.fields[0].values
+    assert not v.flags.writeable
+    assert not np.shares_memory(v, a.fields[0].values)
+    # the field holds the concatenation itself, not a copy of it
+    assert v.base is not None and v.base.shape == (1, 3, 4, 1)

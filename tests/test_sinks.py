@@ -46,6 +46,34 @@ def random_snapshot(rng, ni=5, nj=4, step=7, producer=2, nblocks=1):
     return Snapshot(time=0.125 * step, step=step, producer_id=producer, blocks=tuple(blocks))
 
 
+def ascii_vtk_line_by_line(block, step, producer, time):
+    """An ascii checkpoint built one 9-value line at a time: the reference
+    for the writer, which builds each field with one join."""
+    ni, nj, nk = block.dims
+    out = (
+        "# vtk DataFile Version 3.0\n"
+        f"nekmini step={step} producer={producer} time={time:.17g} extents="
+        + " ".join(str(e) for e in block.extents) + "\n"
+        "ASCII\nDATASET STRUCTURED_POINTS\n"
+        f"DIMENSIONS {ni} {nj} {nk}\n"
+        "ORIGIN " + " ".join(f"{x:.17g}" for x in block.origin) + "\n"
+        "SPACING " + " ".join(f"{x:.17g}" for x in block.spacing) + "\n"
+    ).encode("ascii")
+    for assoc, keyword in ((POINT, "POINT_DATA"), (CELL, "CELL_DATA")):
+        group = [f for f in block.fields if f.association == assoc]
+        if not group:
+            continue
+        count = block.entity_count(assoc)
+        out += f"{keyword} {count}\nFIELD FieldData {len(group)}\n".encode("ascii")
+        for f in group:
+            out += f"{f.name} {f.components} {count} double\n".encode("ascii")
+            vals = [f"{x:.17g}" for x in f.values]
+            for i in range(0, len(vals), 9):
+                out += " ".join(vals[i:i + 9]).encode("ascii") + b"\n"
+            out += b"\n"
+    return out
+
+
 def assert_snapshots_equal(a, b):
     assert a.step == b.step
     assert a.time == b.time
@@ -97,6 +125,16 @@ class TestCheckpointRoundTrip:
         back = checkpoint_read(paths[0])
         assert np.array_equal(back.blocks[0].fields[0].values, vals)
         assert back.time == 1.0 / 7.0
+
+    @pytest.mark.parametrize("n", [5, 16, 64])
+    def test_ascii_bytes_match_line_by_line_writer(self, tmp_path, n):
+        # 5x4 gives 20, 40 and 12 values, none a multiple of 9 per line
+        rng = np.random.default_rng(n)
+        s = random_snapshot(rng, ni=n, nj=4 if n == 5 else n)
+        paths, total = checkpoint_write(s, tmp_path, "ascii")
+        expected = ascii_vtk_line_by_line(s.blocks[0], s.step, s.producer_id, s.time)
+        assert paths[0].read_bytes() == expected
+        assert total == len(expected)
 
     def test_multi_block_snapshot_one_file_per_block(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -5,25 +5,45 @@ runs its serve() loop in a thread, and drives real ProducerConnection
 clients against it.
 """
 
+import gc
 import socket
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nekmini.data_model import POINT, Block, FieldArray, Snapshot
+from nekmini import transport
+from nekmini.data_model import CELL, POINT, Block, FieldArray, Snapshot
 from nekmini.transport import (
     AckTimeout,
+    ConnectionLost,
     Endpoint,
     EndpointConfig,
+    FrameReader,
     ProducerConfig,
     ProducerConnection,
     ProtocolError,
     TransportError,
     parse_address,
 )
-from nekmini.wire import encode_message
+from nekmini.wire import (
+    ERROR_STEP,
+    HEADER,
+    MAGIC,
+    TAG_STEP_HEADER,
+    VERSION,
+    BlockPayload,
+    Bye,
+    Hello,
+    HelloAck,
+    StepAck,
+    StepHeader,
+    encode_message,
+)
 
 
 class RecordingBridge:
@@ -200,6 +220,7 @@ def test_disconnect_mid_round_discards_step_and_error_acks_peer():
     b.sock.close()  # b vanishes without sending its step
     th.join(timeout=10)
     t.join(timeout=10)
+    a.close()
     assert not t.is_alive()
     assert "abandoned" in results["a"]
     assert bridge.snapshots == []
@@ -226,6 +247,7 @@ def test_step_mismatch_is_fatal():
     ta.start(); tb.start()
     ta.join(timeout=10); tb.join(timeout=10)
     t.join(timeout=10)
+    a.close(); b.close()
     assert not t.is_alive()
     assert results["a"] != "acked" and results["b"] != "acked"
     assert bridge.snapshots == []
@@ -239,6 +261,7 @@ def test_bridge_failure_error_acks_producers():
     with pytest.raises(ProtocolError, match="abandoned"):
         conn.send_step(producer_snapshot(0, 100))
     t.join(timeout=10)
+    conn.close()
     assert not t.is_alive()
     assert ep.summary.steps_completed == 1
     assert ep.summary.incomplete_steps == 1
@@ -280,7 +303,6 @@ def test_producer_ack_timeout():
     def stub():
         conn, _ = srv.accept()
         conn.recv(4096)  # swallow Hello
-        from nekmini.wire import HelloAck
         conn.sendall(encode_message(HelloAck(True)))
         time.sleep(5.0)
         conn.close()
@@ -290,6 +312,7 @@ def test_producer_ack_timeout():
     conn = ProducerConnection(ProducerConfig(f"{host}:{port}", 0, step_timeout=0.5))
     with pytest.raises(AckTimeout):
         conn.send_step(producer_snapshot(0, 0))
+    conn.close()
     srv.close()
 
 
@@ -341,3 +364,167 @@ def test_fidelity_bit_exact_through_transport():
         assert np.array_equal(got.field_named(f.name).values, f.values)
     assert got.origin == sent.origin
     assert got.spacing == sent.spacing
+
+
+@pytest.mark.parametrize("k, pids", [(2, (0, 0, 1)), (1, (0, 1))], ids=["duplicate-id", "beyond-k"])
+def test_rejected_producer_closes_its_socket(k, pids):
+    ep, _, t = start_endpoint(k=k)
+    first = connect(ep, pids[0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(TransportError, match="rejected"):
+            connect(ep, pids[1])
+        gc.collect()
+    others = [connect(ep, pid) for pid in pids[2:]]
+    for c in (first, *others):
+        c.close()
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert ep.summary.rejected_connections == 1
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_malformed_step_header_drops_only_that_producer():
+    # a StepHeader with a 19-byte payload fails producer 0; the endpoint
+    # keeps serving, error-acks producer 1 and ends when it leaves
+    ep, bridge, t = start_endpoint(k=2, step_timeout=5.0)
+    bad = socket.create_connection(parse_address(ep.address))
+    try:
+        bad.sendall(encode_message(Hello(0)))
+        assert FrameReader(bad).recv_message(5.0) == HelloAck(True)
+        good = connect(ep, 1)
+        bad.sendall(HEADER.pack(MAGIC, VERSION, TAG_STEP_HEADER, 19) + bytes(19))
+        with pytest.raises(ProtocolError, match="abandoned"):
+            good.send_step(producer_snapshot(1, 0))
+        good.close()
+        t.join(timeout=10)
+        assert not t.is_alive()
+    finally:
+        bad.close()
+    assert bridge.snapshots == []
+    assert "producer 0: StepHeader payload must be 20 bytes, got 19" in ep.summary.errors
+
+
+# ---------------------------------------------------------------------------
+# the frame reader on its own, over a socketpair
+# ---------------------------------------------------------------------------
+
+def stream_of(data, chunks):
+    """The read end of a socketpair whose other end sends data in chunks of
+    the given sizes (cycled) from a thread, then closes."""
+    a, b = socket.socketpair()
+
+    def send():
+        try:
+            pos, i = 0, 0
+            while pos < len(data):
+                n = chunks[i % len(chunks)]
+                a.sendall(data[pos:pos + n])
+                pos, i = pos + n, i + 1
+        except OSError:
+            pass  # the reader stopped early and closed its end
+        finally:
+            a.close()
+
+    th = threading.Thread(target=send, daemon=True)
+    th.start()
+    return b, th
+
+
+def wire_block(seed, ni, nj):
+    rng = np.random.default_rng(seed)
+    return Block((0.5 * seed, 0.0, 0.0), (0.5, 0.25, 1.0), (0, ni - 1, 0, nj - 1, 0, 0), (
+        FieldArray("temperature", POINT, 1, rng.standard_normal(ni * nj)),
+        FieldArray("p", CELL, 2, rng.standard_normal(2 * (ni - 1) * (nj - 1))),
+    ))
+
+
+messages = st.one_of(
+    st.builds(Hello, st.integers(0, 2**32 - 1)),
+    st.builds(HelloAck, st.booleans()),
+    st.builds(StepHeader, st.integers(0, 2**64 - 1), st.floats(allow_nan=False),
+              st.integers(0, 2**32 - 1)),
+    st.builds(StepAck, st.integers(0, ERROR_STEP)),
+    st.just(Bye()),
+    st.builds(lambda seed, ni, nj: BlockPayload(wire_block(seed, ni, nj)),
+              st.integers(0, 1000), st.integers(2, 12), st.integers(2, 12)),
+)
+chunkings = st.lists(st.integers(1, 2000), min_size=1, max_size=8)
+
+
+def frames(msgs):
+    return b"".join(bytes(encode_message(m)) for m in msgs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(msgs=st.lists(messages, max_size=6), chunks=chunkings)
+def test_reader_decodes_valid_streams_under_any_chunking(msgs, chunks):
+    data = frames(msgs)
+    sock, th = stream_of(data, chunks)
+    reader = FrameReader(sock)
+    try:
+        got = [reader.recv_message(timeout=5.0) for _ in msgs]
+        with pytest.raises(ConnectionLost):
+            reader.recv_message(timeout=5.0)
+    finally:
+        sock.close()
+        th.join(timeout=5)
+    assert not th.is_alive()
+    assert got == msgs
+    assert reader.bytes_consumed == len(data)
+
+
+garbage = st.one_of(
+    st.binary(max_size=300),
+    # a valid magic and version, then any tag, a small declared length and junk
+    st.builds(lambda tag, length, tail: HEADER.pack(MAGIC, VERSION, tag, length) + tail,
+              st.integers(0, 255), st.integers(0, 4096), st.binary(max_size=300)),
+    # a valid frame cut short
+    st.builds(lambda m, cut: frames([m])[:-cut], messages, st.integers(1, 14)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(prefix=st.lists(messages, max_size=2), junk=garbage, chunks=chunkings)
+def test_reader_rejects_garbage_without_hanging(prefix, junk, chunks):
+    # every frame is at least a header long, so the stream ends within
+    # len(data) // HEADER.size + 1 reads; a reader that waited for bytes
+    # that never come would raise AckTimeout instead
+    data = frames(prefix) + junk
+    sock, th = stream_of(data, chunks)
+    reader = FrameReader(sock)
+    try:
+        with pytest.raises((ProtocolError, ConnectionLost)):
+            for _ in range(len(data) // HEADER.size + 1):
+                reader.recv_message(timeout=5.0)
+    finally:
+        sock.close()
+        th.join(timeout=5)
+    assert not th.is_alive()
+
+
+def test_reader_scans_each_frame_byte_once(monkeypatch):
+    # one ~8 MiB BlockPayload arriving in 64 KiB chunks is decoded once, on
+    # the whole frame; a reader that retried the decode per chunk would
+    # scan the frame's bytes about 64 times over
+    values = np.arange(1 << 20, dtype=np.float64)
+    block = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 1023, 0, 1023, 0, 0),
+                  (FieldArray("temperature", POINT, 1, values),))
+    scanned = []
+    real = transport.decode_message
+
+    def counting(buf, *args, **kwargs):
+        scanned.append(len(buf))
+        return real(buf, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "decode_message", counting)
+    frame = bytes(encode_message(BlockPayload(block)))
+    sock, th = stream_of(frame, [1 << 16])
+    try:
+        msg = FrameReader(sock).recv_message(timeout=30.0)
+    finally:
+        sock.close()
+        th.join(timeout=10)
+    assert not th.is_alive()
+    assert sum(scanned) <= 1.01 * len(frame)
+    assert np.array_equal(msg.block.fields[0].values, values)

@@ -15,6 +15,9 @@ from nekmini.wire import (
     TAG_BLOCK_PAYLOAD,
     TAG_BYE,
     TAG_HELLO,
+    TAG_HELLO_ACK,
+    TAG_STEP_ACK,
+    TAG_STEP_HEADER,
     VERSION,
     BlockPayload,
     Bye,
@@ -23,6 +26,7 @@ from nekmini.wire import (
     ProtocolError,
     StepAck,
     StepHeader,
+    check_header,
     decode_block,
     decode_message,
     encode_block,
@@ -124,6 +128,26 @@ class TestDecodeIncremental:
         with pytest.raises(ProtocolError, match="Hello"):
             decode_message(raw)
 
+    @pytest.mark.parametrize("tag, length", [
+        (TAG_HELLO, 0), (TAG_HELLO, 9),
+        (TAG_HELLO_ACK, 0), (TAG_HELLO_ACK, 2),
+        (TAG_STEP_HEADER, 0), (TAG_STEP_HEADER, 19), (TAG_STEP_HEADER, 21),
+        (TAG_STEP_ACK, 0), (TAG_STEP_ACK, 7), (TAG_STEP_ACK, 9),
+        (TAG_BYE, 1),
+    ])
+    def test_fixed_payload_length_checked(self, tag, length):
+        # the header alone is enough to reject the frame, and the whole
+        # frame raises ProtocolError, not IndexError or struct.error
+        raw = HEADER.pack(MAGIC, VERSION, tag, length) + bytes(length)
+        with pytest.raises(ProtocolError, match="payload must be"):
+            check_header(raw[:HEADER.size])
+        with pytest.raises(ProtocolError, match="payload must be"):
+            decode_message(raw)
+
+    def test_check_header_gives_tag_and_frame_length(self):
+        raw = encode_message(StepHeader(5, 1.25, 2))
+        assert check_header(raw) == (TAG_STEP_HEADER, len(raw)) == (TAG_STEP_HEADER, 34)
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize("msg", [
@@ -158,6 +182,32 @@ class TestRoundTrips:
         b = make_block(rng)
         decoded, _ = decode_message(encode_message(BlockPayload(b)))
         assert np.array_equal(decoded.block.fields[0].values, b.fields[0].values)
+
+    def test_decoded_fields_are_read_only_views_of_the_frame(self):
+        rng = np.random.default_rng(4)
+        frame = encode_message(BlockPayload(make_block(rng)))
+        decoded, _ = decode_message(frame)
+        for f in decoded.block.fields:
+            assert not f.values.flags.writeable
+            assert not f.values.flags.owndata
+            assert np.shares_memory(f.values, np.frombuffer(frame, np.uint8))
+
+    def test_block_frame_is_one_buffer_of_the_frame_size(self):
+        rng = np.random.default_rng(6)
+        b = make_block(rng)
+        frame = encode_message(BlockPayload(b))
+        assert len(frame) == HEADER.size + len(encode_block(b))
+        assert bytes(frame[HEADER.size:]) == bytes(encode_block(b))
+        assert HEADER.unpack_from(frame) == (MAGIC, VERSION, TAG_BLOCK_PAYLOAD,
+                                             len(frame) - HEADER.size)
+
+    def test_non_utf8_field_name_rejected(self):
+        f = FieldArray("ab", POINT, 1, np.zeros(12))
+        raw = bytearray(encode_block(Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+                                           (0, 3, 0, 2, 0, 0), (f,))))
+        raw[102:104] = b"\xff\xfe"
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            decode_block(raw)
 
     def test_truncated_block_rejected(self):
         rng = np.random.default_rng(1)
