@@ -7,8 +7,8 @@ over an N:1 streaming staging transport, with a benchmark harness that
 measures the overhead, storage, and scaling trade-offs.
 """
 
-from nekmini.data_model import Block, FieldArray, MeshMetadata, Snapshot
+from nekmini.data_model import Block, FieldArray, Snapshot
 
-__all__ = ["Block", "FieldArray", "MeshMetadata", "Snapshot"]
+__all__ = ["Block", "FieldArray", "Snapshot"]
 
 __version__ = "0.1.0"

@@ -110,14 +110,6 @@ def should_trigger(spec: AnalysisSpec, step: int) -> bool:
 
 
 @dataclass
-class SinkReport:
-    kind: str
-    seconds: float
-    bytes_written: int
-    error: str | None = None
-
-
-@dataclass
 class SinkSummary:
     kind: str
     invocations: int = 0
@@ -139,11 +131,11 @@ class Bridge:
         self.summaries = [SinkSummary(spec.kind) for spec in cfg.specs]
         self._last_step: int | None = None
 
-    def update(self, s: Snapshot) -> list[SinkReport]:
+    def update(self, s: Snapshot):
         """Invoke every triggered sink once, in spec order.
 
-        A failing sink is reported and does not prevent later sinks from
-        running.
+        A failing sink is logged at warning level and counted in its
+        summary; it does not prevent later sinks from running.
         """
         violations = validate_snapshot(s)
         if violations:
@@ -154,24 +146,18 @@ class Bridge:
             )
         self._last_step = s.step
 
-        reports = []
         for spec, sink, summary in zip(self.cfg.specs, self.sinks, self.summaries):
             if not should_trigger(spec, s.step):
                 continue
             t0 = time.perf_counter()
             try:
-                nbytes = sink.consume(s)
-                err = None
-            except Exception as e:  # sink isolation: collect, keep going
-                nbytes = 0
-                err = f"{type(e).__name__}: {e}"
+                summary.bytes_written += sink.consume(s)
+            except Exception as e:  # sink isolation: log, count, keep going
                 summary.failures += 1
-            elapsed = time.perf_counter() - t0
+                log.warning("sink %s failed at step %d: %s: %s",
+                            spec.kind, s.step, type(e).__name__, e)
             summary.invocations += 1
-            summary.seconds += elapsed
-            summary.bytes_written += nbytes
-            reports.append(SinkReport(spec.kind, elapsed, nbytes, err))
-        return reports
+            summary.seconds += time.perf_counter() - t0
 
     def finalize(self) -> list[SinkSummary]:
         """Flush sinks and return per-sink cumulative totals."""

@@ -1,9 +1,12 @@
 """Structured-grid mesh and field data model.
 
 This is the in-memory contract shared by the solver, the bridge, the
-staging transport, and the sinks.  A :class:`Snapshot` is one timestamped
-collection of :class:`Block` values; each block is an axis-aligned
-structured-points grid carrying named point or cell arrays.
+staging transport, and the sinks.  A :class:`Block` is an axis-aligned
+structured-points grid carrying named point or cell arrays; a
+:class:`Snapshot` is one timestamped block. In transit, each producer
+sends its own block, and :func:`assemble_global` tiles a step's blocks
+into one before any analysis runs, so every snapshot the bridge and the
+sinks see holds exactly one block (:func:`validate_snapshot` checks it).
 
 Array layout convention (used everywhere, including the wire codec and
 the checkpoint files): values are flat float64 sequences ordered with the
@@ -118,70 +121,45 @@ class Snapshot:
         object.__setattr__(self, "blocks", tuple(self.blocks))
 
 
-@dataclass(frozen=True)
-class MeshMetadata:
-    mesh_name: str
-    global_extents: tuple[int, int, int, int, int, int]
-    field_descriptors: tuple[tuple[str, str, int], ...]  # (name, association, components)
-    block_count: int
-
-
-def metadata_of(s: Snapshot, mesh_name: str = "mesh") -> MeshMetadata:
-    """Describe a snapshot: union extents plus the shared field schema."""
-    ext = np.array([b.extents for b in s.blocks])
-    global_extents = (
-        int(ext[:, 0].min()), int(ext[:, 1].max()),
-        int(ext[:, 2].min()), int(ext[:, 3].max()),
-        int(ext[:, 4].min()), int(ext[:, 5].max()),
-    )
-    descriptors = tuple((f.name, f.association, f.components) for f in s.blocks[0].fields)
-    return MeshMetadata(mesh_name, global_extents, descriptors, len(s.blocks))
-
-
 def validate_snapshot(s: Snapshot) -> list[str]:
     """Check every type invariant; returns [] when the snapshot is valid.
 
-    Violations are strings naming the offending block/field; never raises.
+    A snapshot that reaches the bridge holds exactly one block: the
+    solver makes one, and the endpoint assembles its producers' blocks
+    into one. Violations are strings naming the offending field; never
+    raises.
     """
+    if len(s.blocks) != 1:
+        return [f"snapshot holds {len(s.blocks)} blocks, expected 1"]
     violations: list[str] = []
-    if len(s.blocks) == 0:
-        return ["snapshot has no blocks"]
     if s.step < 0:
         violations.append("negative step")
-
-    schema = None
-    for bi, b in enumerate(s.blocks):
-        e = b.extents
-        if e[1] < e[0] or e[3] < e[2] or e[5] < e[4]:
-            violations.append(f"block {bi}: inverted extents {e}")
+    b = s.blocks[0]
+    e = b.extents
+    if e[1] < e[0] or e[3] < e[2] or e[5] < e[4]:
+        return violations + [f"inverted extents {e}"]
+    for ax, sp in enumerate(b.spacing):
+        if not sp > 0:
+            violations.append(f"non-positive spacing on axis {ax}")
+    seen: set[str] = set()
+    for f in b.fields:
+        if not f.name:
+            violations.append("empty field name")
+        if f.name in seen:
+            violations.append(f"duplicate field name {f.name!r}")
+        seen.add(f.name)
+        if f.association not in (POINT, CELL):
+            violations.append(f"field {f.name!r}: bad association")
             continue
-        for ax, sp in enumerate(b.spacing):
-            if not sp > 0:
-                violations.append(f"block {bi}: non-positive spacing on axis {ax}")
-        seen: set[str] = set()
-        for f in b.fields:
-            if not f.name:
-                violations.append(f"block {bi}: empty field name")
-            if f.name in seen:
-                violations.append(f"block {bi}: duplicate field name {f.name!r}")
-            seen.add(f.name)
-            if f.association not in (POINT, CELL):
-                violations.append(f"block {bi}, field {f.name!r}: bad association")
-                continue
-            if f.components < 1:
-                violations.append(f"block {bi}, field {f.name!r}: components < 1")
-                continue
-            expected = f.components * b.entity_count(f.association)
-            if f.values.size != expected:
-                violations.append(
-                    f"block {bi}, field {f.name!r}: field length mismatch "
-                    f"(got {f.values.size}, expected {expected})"
-                )
-        sig = tuple((f.name, f.association, f.components) for f in b.fields)
-        if schema is None:
-            schema = sig
-        elif set(sig) != set(schema):
-            violations.append(f"block {bi}: field schema differs from block 0")
+        if f.components < 1:
+            violations.append(f"field {f.name!r}: components < 1")
+            continue
+        expected = f.components * b.entity_count(f.association)
+        if f.values.size != expected:
+            violations.append(
+                f"field {f.name!r}: field length mismatch "
+                f"(got {f.values.size}, expected {expected})"
+            )
     return violations
 
 
@@ -198,9 +176,11 @@ def _grid(f: FieldArray, dims: tuple[int, int, int]) -> np.ndarray:
 def assemble_global(blocks: list[Block]) -> Block:
     """Tile blocks along x into one global block.
 
-    Blocks must abut (no ghost overlap), share spacing, y/z extents, and
-    field schema, and arrive ordered by producer (ascending i_min).
-    Origin is taken from the first block.
+    This is the one place where a step's blocks combine. Blocks must abut
+    in the order given (each block's i_min is the previous block's
+    i_max + 1: no gap, no ghost overlap) and share spacing, y/z extents
+    and field schema; anything else raises SchemaMismatch. Origin is taken
+    from the first block.
     """
     if not blocks:
         raise ValueError("no blocks to assemble")
@@ -209,18 +189,19 @@ def assemble_global(blocks: list[Block]) -> Block:
 
     first = blocks[0]
     schema = tuple((f.name, f.association, f.components) for f in first.fields)
-    for b in blocks[1:]:
+    for prev, b in zip(blocks, blocks[1:]):
         if b.spacing != first.spacing:
             raise SchemaMismatch("spacing differs across blocks")
         if tuple((f.name, f.association, f.components) for f in b.fields) != schema:
             raise SchemaMismatch("field schema differs across blocks")
         if b.extents[2:] != first.extents[2:]:
             raise SchemaMismatch("y/z extents differ across blocks")
+        if b.extents[0] != prev.extents[1] + 1:
+            raise SchemaMismatch(f"blocks do not tile along x: extents {prev.extents} "
+                                 f"are followed by {b.extents}")
 
-    ni_total = sum(b.dims[0] for b in blocks)
-    _, nj, nk = first.dims
     e = first.extents
-    global_extents = (e[0], e[0] + ni_total - 1, e[2], e[3], e[4], e[5])
+    global_extents = (e[0], blocks[-1].extents[1], e[2], e[3], e[4], e[5])
 
     out_fields = []
     for fi, (name, assoc, comps) in enumerate(schema):

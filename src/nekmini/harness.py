@@ -4,7 +4,8 @@ process orchestration, and the weak-scaling experiment.
 The in situ run and every producer share one solver loop, `_drive`, which
 hands snapshots to the bridge or to the transport; every role writes
 its timings.csv, memory.csv and summary.csv through `_write_reports`.
-Per-step phases recorded in timings.csv:
+Per-step phases recorded in timings.csv (step -1 rows carry each sink
+kind's total, see `_write_reports`):
 
     solve          one solver step
     snapshot_copy  copying solver buffers into a Snapshot
@@ -123,13 +124,13 @@ def _drive(cfg: RunConfig, deliver, phase: str, cadence: int) -> list[TimingReco
 
 def _write_reports(out: Path, label: str, role: str, steps: list[TimingRecord],
                    sinks: list[bridge_mod.SinkSummary], phase_bytes: dict[str, int]):
-    """Write one role's timings.csv (if it timed any steps), memory.csv and
-    summary.csv.
+    """Write one role's timings.csv, memory.csv and summary.csv.
 
-    summary.csv aggregates the per-step rows plus step -1 rows: one per
-    sink kind, carrying the seconds and bytes of every sink of that kind
-    summed, and a 0 s row for each phase in `phase_bytes` that no step
-    timed, so that its bytes appear.
+    timings.csv holds the per-step rows plus step -1 rows: one per sink
+    kind, carrying the seconds of every sink of that kind summed, and a
+    0 s row for each phase in `phase_bytes` that no step timed, so that
+    its bytes appear. summary.csv aggregates those rows; its total_bytes
+    come from the sinks and from `phase_bytes`.
     """
     seconds: dict[str, float] = {}
     nbytes: dict[str, int] = {}
@@ -142,10 +143,9 @@ def _write_reports(out: Path, label: str, role: str, steps: list[TimingRecord],
         nbytes[key] = n
         if key not in timed:
             seconds[key] = 0.0
-    if steps:
-        reporting.write_timings(out / "timings.csv", steps)
-    reporting.write_memory(out / "memory.csv", [MemoryRecord(label, role, measure_memory_hwm())])
     rows = steps + [TimingRecord(label, -1, key, s) for key, s in seconds.items()]
+    reporting.write_timings(out / "timings.csv", rows)
+    reporting.write_memory(out / "memory.csv", [MemoryRecord(label, role, measure_memory_hwm())])
     agg = reporting.aggregate(rows, {(label, key): n for key, n in nbytes.items()})
     reporting.write_summary(out / "summary.csv", agg)
 

@@ -212,8 +212,10 @@ def line_chart_svg(points: list[tuple[float, float]], title: str, xlabel: str, y
 def report(input_dir: str | Path, output_dir: str | Path | None = None) -> tuple[Path, Path]:
     """Aggregate every timings.csv under input_dir into summary.csv + chart.svg.
 
-    total_bytes per (label, phase) is merged (summed) from any summary.csv
-    files found alongside the timings.
+    total_bytes per (label, phase) is summed from every summary.csv that
+    has a timings.csv next to it, i.e. that a run role wrote. Any other
+    summary.csv is a previous merged output and is skipped, so a rerun
+    neither loses nor compounds bytes.
     """
     input_dir = Path(input_dir)
     output_dir = Path(output_dir) if output_dir else input_dir
@@ -224,17 +226,15 @@ def report(input_dir: str | Path, output_dir: str | Path | None = None) -> tuple
     if not records:
         raise ValueError(f"no data: no timings.csv rows under {input_dir}")
 
-    summary_path = output_dir / "summary.csv"
     bytes_by_key: dict[tuple[str, str], int] = {}
-    for p in sorted(input_dir.rglob("summary.csv")):
-        if p.resolve() == summary_path.resolve():
-            continue  # never fold a previous report output back in
-        for key, (_, _, nbytes) in read_summary(p).items():
-            bytes_by_key[key] = bytes_by_key.get(key, 0) + nbytes
+    for p in timing_files:
+        if (p.parent / "summary.csv").exists():
+            for key, (_, _, nbytes) in read_summary(p.parent / "summary.csv").items():
+                bytes_by_key[key] = bytes_by_key.get(key, 0) + nbytes
 
     agg = aggregate(records, bytes_by_key)
     output_dir.mkdir(parents=True, exist_ok=True)
-    chart_path = output_dir / "chart.svg"
+    summary_path, chart_path = output_dir / "summary.csv", output_dir / "chart.svg"
     write_summary(summary_path, agg)
     chart_path.write_text(bar_chart_svg(agg, "mean seconds per step phase"))
     return summary_path, chart_path

@@ -1,6 +1,11 @@
 """Pluggable analysis sinks: checkpoint writer/reader, pseudocolor
 renderer, statistics CSV, and a null sink.
 
+Every sink reads the one block of the snapshot it is given (the bridge
+rejects any other snapshot; in transit, the endpoint has already tiled
+the producers' blocks into one). A checkpoint is one file per snapshot,
+step<step:06d>_blk<producer_id:03d>.vtk.
+
 Checkpoint files are legacy-VTK STRUCTURED_POINTS (readable by standard
 visualization tools). The exact layout::
 
@@ -29,14 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nekmini.data_model import (
-    CELL,
-    POINT,
-    Block,
-    FieldArray,
-    Snapshot,
-    assemble_global,
-)
+from nekmini.data_model import CELL, POINT, Block, FieldArray, Snapshot
 
 _VTK_HEADER = "# vtk DataFile Version 3.0"
 _ASSOC_CODE = {POINT: "POINT_DATA", CELL: "CELL_DATA"}
@@ -54,22 +52,18 @@ def checkpoint_filename(step: int, blk: int) -> str:
     return f"step{step:06d}_blk{blk:03d}.vtk"
 
 
-def checkpoint_write(s: Snapshot, dir: str | Path, format: str = "binary") -> tuple[list[Path], int]:
-    """Write one legacy-VTK file per block; returns (paths, total bytes)."""
+def checkpoint_write(s: Snapshot, dir: str | Path, format: str = "binary") -> tuple[Path, int]:
+    """Write the snapshot's block as one legacy-VTK file, named for its
+    step and producer; returns (path, bytes written)."""
     if format not in ("ascii", "binary"):
         raise ValueError(f"format must be 'ascii' or 'binary', got {format!r}")
-    outdir = Path(dir)
-    paths, total = [], 0
-    for bi, block in enumerate(s.blocks):
-        if not block.fields:
-            raise ValueError(f"block {bi} has no fields to checkpoint")
-        blk_id = s.producer_id if len(s.blocks) == 1 else s.producer_id + bi
-        path = outdir / checkpoint_filename(s.step, blk_id)
-        data = _encode_vtk(block, s.step, blk_id, s.time, format)
-        path.write_bytes(data)
-        paths.append(path)
-        total += len(data)
-    return paths, total
+    (block,) = s.blocks
+    if not block.fields:
+        raise ValueError("block has no fields to checkpoint")
+    path = Path(dir) / checkpoint_filename(s.step, s.producer_id)
+    data = _encode_vtk(block, s.step, s.producer_id, s.time, format)
+    path.write_bytes(data)
+    return path, len(data)
 
 
 def _encode_vtk(block: Block, step: int, producer: int, time: float, format: str) -> bytes:
@@ -252,12 +246,10 @@ def render(
 ) -> ImageRGB:
     """Pseudocolor image of one field, bilinear-sampled in index space.
 
-    Blocks are assembled into one global grid first. Pixel row 0 is the
-    top of the domain (highest y index). Deterministic: identical inputs
-    give byte-identical images.
+    Pixel row 0 is the top of the domain (highest y index). Deterministic:
+    identical inputs give byte-identical images.
     """
-    block = assemble_global(list(s.blocks))
-    data = scalar_field(block, field)
+    data = scalar_field(s.blocks[0], field)
     nj, ni = data.shape
 
     lo = float(data.min()) if vmin is None else float(vmin)
@@ -316,8 +308,7 @@ class CheckpointSink:
         _probe_writable(self.dir)
 
     def consume(self, s: Snapshot) -> int:
-        _, total = checkpoint_write(s, self.dir, self.format)
-        return total
+        return checkpoint_write(s, self.dir, self.format)[1]
 
     def finalize(self):
         pass
@@ -363,8 +354,8 @@ class NullSink:
 
 
 class StatsSink:
-    """Appends step,time,field,min,max,mean rows (stats over all blocks,
-    points, and components of each field)."""
+    """Appends step,time,field,min,max,mean rows (stats over all points
+    and components of each field)."""
 
     HEADER = "step,time,field,min,max,mean"
 
@@ -378,10 +369,12 @@ class StatsSink:
 
     def consume(self, s: Snapshot) -> int:
         rows = []
-        for name, _, _ in ((f.name, f.association, f.components) for f in s.blocks[0].fields):
-            vals = np.concatenate([b.field_named(name).values for b in s.blocks])
+        for f in s.blocks[0].fields:
+            # numpy sums an unaligned array (a field decoded off the wire) in
+            # buffered chunks, which can round its mean differently
+            vals = np.require(f.values, requirements="A")
             rows.append(
-                f"{s.step},{s.time:.17g},{name},{vals.min():.17g},{vals.max():.17g},{vals.mean():.17g}"
+                f"{s.step},{s.time:.17g},{f.name},{vals.min():.17g},{vals.max():.17g},{vals.mean():.17g}"
             )
         text = "\n".join(rows) + "\n"
         with open(self.path, "a") as f:

@@ -57,7 +57,7 @@ _FIXED = {
 _BLOCK_FIXED = struct.Struct("<3d3d6qI")  # origin, spacing, extents, field count
 _FIELD_HEAD = struct.Struct("<BIQ")  # association, components, value count
 
-DEFAULT_MAX_PAYLOAD = 1 << 30  # 1 GiB
+MAX_PAYLOAD = 1 << 30  # 1 GiB: the largest payload a frame may declare
 
 # error-ack sentinel: an ack carrying this step tells the producer the
 # endpoint abandoned the step (a deliberately "wrong step" signal)
@@ -71,7 +71,6 @@ class ProtocolError(RuntimeError):
 @dataclass(frozen=True)
 class Hello:
     producer_id: int
-    protocol_version: int = VERSION
 
 
 @dataclass(frozen=True)
@@ -104,14 +103,15 @@ class Bye:
 WireMessage = Hello | HelloAck | StepHeader | BlockPayload | StepAck | Bye
 
 
-def _pack_block(b: Block, offset: int) -> bytearray:
-    """Marshal b into a new buffer, starting `offset` bytes in."""
+def _block_frame(b: Block) -> bytearray:
+    """A whole BlockPayload frame for b, marshaled into one new buffer."""
     names = [f.name.encode("utf-8") for f in b.fields]
     size = _BLOCK_FIXED.size + sum(2 + len(name) + _FIELD_HEAD.size + 8 * f.values.size
                                    for f, name in zip(b.fields, names))
-    buf = bytearray(offset + size)
-    _BLOCK_FIXED.pack_into(buf, offset, *b.origin, *b.spacing, *b.extents, len(b.fields))
-    pos = offset + _BLOCK_FIXED.size
+    buf = bytearray(HEADER.size + size)
+    HEADER.pack_into(buf, 0, MAGIC, VERSION, TAG_BLOCK_PAYLOAD, size)
+    _BLOCK_FIXED.pack_into(buf, HEADER.size, *b.origin, *b.spacing, *b.extents, len(b.fields))
+    pos = HEADER.size + _BLOCK_FIXED.size
     for f, name in zip(b.fields, names):
         struct.pack_into("<H", buf, pos, len(name)); pos += 2
         buf[pos:pos + len(name)] = name; pos += len(name)
@@ -121,10 +121,6 @@ def _pack_block(b: Block, offset: int) -> bytearray:
         buf[pos:end] = memoryview(np.ascontiguousarray(f.values, "<f8")).cast("B")
         pos = end
     return buf
-
-
-def encode_block(b: Block) -> bytearray:
-    return _pack_block(b, 0)
 
 
 def decode_block(buf) -> Block:
@@ -157,13 +153,9 @@ def encode_message(m: WireMessage) -> bytes | bytearray:
     """One whole frame. A BlockPayload frame is written into one buffer,
     which holds the only copy of each field's values."""
     if isinstance(m, BlockPayload):
-        buf = _pack_block(m.block, HEADER.size)
-        HEADER.pack_into(buf, 0, MAGIC, VERSION, TAG_BLOCK_PAYLOAD, len(buf) - HEADER.size)
-        return buf
-    version = VERSION
+        return _block_frame(m.block)
     if isinstance(m, Hello):
         tag, payload = TAG_HELLO, _HELLO.pack(m.producer_id, 0)  # id + reserved flags
-        version = m.protocol_version
     elif isinstance(m, HelloAck):
         tag, payload = TAG_HELLO_ACK, _HELLO_ACK.pack(1 if m.accepted else 0)
     elif isinstance(m, StepHeader):
@@ -174,16 +166,16 @@ def encode_message(m: WireMessage) -> bytes | bytearray:
         tag, payload = TAG_BYE, b""
     else:
         raise TypeError(f"not a wire message: {m!r}")
-    return HEADER.pack(MAGIC, version, tag, len(payload)) + payload
+    return HEADER.pack(MAGIC, VERSION, tag, len(payload)) + payload
 
 
-def check_header(buf, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[int, int]:
+def check_header(buf) -> tuple[int, int]:
     """Check the frame header at the head of buf; returns (tag, frame length).
 
     Needs only the HEADER.size header bytes, so a reader can reject a bad
     frame before it allocates room for the payload. Raises ProtocolError on
     a bad magic, version or tag, a fixed-size message of the wrong length,
-    or a declared length over max_payload.
+    or a declared length over MAX_PAYLOAD.
     """
     magic, version, tag, length = HEADER.unpack_from(buf)
     if magic != MAGIC:
@@ -196,12 +188,12 @@ def check_header(buf, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[int, int]
             raise ProtocolError(f"{name} payload must be {layout.size} bytes, got {length}")
     elif tag != TAG_BLOCK_PAYLOAD:
         raise ProtocolError(f"unknown message tag 0x{tag:02x}")
-    if length > max_payload:
-        raise ProtocolError(f"declared payload length {length} exceeds cap {max_payload}")
+    if length > MAX_PAYLOAD:
+        raise ProtocolError(f"declared payload length {length} exceeds cap {MAX_PAYLOAD}")
     return tag, HEADER.size + length
 
 
-def decode_message(buf, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[WireMessage | None, int]:
+def decode_message(buf) -> tuple[WireMessage | None, int]:
     """Decode one frame from the head of buf (any bytes-like object).
 
     Returns (message, bytes consumed), or (None, 0) when more bytes are
@@ -210,7 +202,7 @@ def decode_message(buf, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[WireMes
     """
     if len(buf) < HEADER.size:
         return None, 0
-    tag, total = check_header(buf, max_payload)
+    tag, total = check_header(buf)
     if len(buf) < total:
         return None, 0
     payload = memoryview(buf)[HEADER.size:total]
@@ -218,7 +210,7 @@ def decode_message(buf, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[WireMes
         return BlockPayload(decode_block(payload)), total
     fields = _FIXED[tag][1].unpack(payload)
     if tag == TAG_HELLO:
-        msg: WireMessage = Hello(fields[0], VERSION)
+        msg: WireMessage = Hello(fields[0])
     elif tag == TAG_HELLO_ACK:
         msg = HelloAck(bool(fields[0]))
     elif tag == TAG_STEP_HEADER:

@@ -6,6 +6,7 @@ so the whole gate stays within a few minutes on a laptop.
 """
 
 import os
+import statistics
 import subprocess
 import sys
 import threading
@@ -47,6 +48,10 @@ CHECKPOINT_BYTES_PER_POINT = 4 * 8
 CHECKPOINT_HEADER_MAX = 1024
 BOUND_GRID = 512
 BOUND_STEPS = 200
+
+# Criterion 2. The overhead runs: 12 x 750 steps per config.
+OVERHEAD_REPS = 12
+OVERHEAD_STEPS = 750
 
 # Criterion 4. Weak scaling needs one CPU per producer; with fewer, the
 # CPU-bound producers take turns on the CPUs and time per step grows with P.
@@ -131,16 +136,16 @@ def storage_runs(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def overhead_runs(tmp_path_factory):
-    """3 interleaved repetitions of {empty, checkpoint, render} in situ
-    runs at the default 64x64 / 3,000 steps.
+    """OVERHEAD_REPS interleaved repetitions of {empty, checkpoint, render}
+    in situ runs at the default 64x64 grid, OVERHEAD_STEPS steps each:
+    the same 9,000-step budget per config as 3 runs of 3,000 steps.
 
-    Triggers every 10 steps rather than the benchmark default of 100:
-    the ordering claim compares mean times, and at 30 triggers the sink
-    cost (~1% of a step) sits below this machine's run-to-run jitter
-    (~3%); 301 triggers of the identical sinks lift the signal an order
-    of magnitude above the noise while measuring the same property. Sink
-    output paths are shared across repetitions so repeated triggers
-    overwrite rather than accumulate."""
+    Triggers every 10 steps rather than the benchmark default of 100: at
+    100 the sink cost (~1% of a step) sits below the run-to-run jitter
+    (~3%). Many short interleaved repetitions give one paired difference
+    per repetition, so the test can take their median, which a single
+    slow run cannot move. Sink output paths are shared across repetitions
+    so repeated triggers overwrite rather than accumulate."""
     root = tmp_path_factory.mktemp("overhead")
     ck_cfg = root / "checkpoint.xml"
     ck_cfg.write_text(
@@ -159,10 +164,10 @@ def overhead_runs(tmp_path_factory):
     run_insitu(RunConfig(solver=solver, steps=300,
                          bridge_config_path=None, output_dir=root / "warmup",
                          label="warmup"))
-    for rep in range(3):  # interleave so slow drift hits all configs equally
+    for rep in range(OVERHEAD_REPS):  # interleave so slow drift hits all configs equally
         for name, cfg_path in configs.items():
             out = run_insitu(RunConfig(
-                solver=solver, steps=STEPS,
+                solver=solver, steps=OVERHEAD_STEPS,
                 bridge_config_path=cfg_path, output_dir=root / f"{name}-{rep}",
                 label=name,
             ))
@@ -221,14 +226,21 @@ def test_criterion_1_storage_economy(storage_runs):
 
 
 def test_criterion_2_overhead_ordering(overhead_runs):
-    m = {k: sum(v) / len(v) for k, v in overhead_runs.items()}
-    ok = m["original"] <= m["checkpoint"] and m["original"] <= m["render"]
+    # the original (no sinks) is no slower than either sink config: the
+    # median over repetitions of the paired difference sink - original is
+    # not negative
+    base = overhead_runs["original"]
+    diff = {k: statistics.median(a - b for a, b in zip(overhead_runs[k], base))
+            for k in ("checkpoint", "render")}
+    m = {k: statistics.median(v) for k, v in overhead_runs.items()}
     _verdict(
         2, "overhead ordering",
-        ok,
-        f"mean time/step over 3 reps: original {m['original'] * 1e3:.4f} ms, "
-        f"checkpoint {m['checkpoint'] * 1e3:.4f} ms, render {m['render'] * 1e3:.4f} ms; "
-        f"render - checkpoint = {(m['render'] - m['checkpoint']) * 1e3:+.4f} ms (reported, not asserted)",
+        diff["checkpoint"] >= 0 and diff["render"] >= 0,
+        f"median paired difference over {len(base)} reps: checkpoint - original "
+        f"{diff['checkpoint'] * 1e3:+.4f} ms/step, render - original "
+        f"{diff['render'] * 1e3:+.4f} ms/step (required >= 0); median time/step: "
+        f"original {m['original'] * 1e3:.4f} ms, checkpoint {m['checkpoint'] * 1e3:.4f} ms, "
+        f"render {m['render'] * 1e3:.4f} ms (reported, not asserted)",
     )
 
 
@@ -379,8 +391,8 @@ def test_criterion_6_checkpoint_round_trip(tmp_path):
         )
         blk = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, ni - 1, 0, nj - 1, 0, 0), fields)
         s = Snapshot(time=rng.random(), step=k, producer_id=0, blocks=(blk,))
-        paths, _ = checkpoint_write(s, tmp_path, "binary")
-        back = checkpoint_read(paths[0])
+        path, _ = checkpoint_write(s, tmp_path, "binary")
+        back = checkpoint_read(path)
         for f in fields:
             assert np.array_equal(back.blocks[0].field_named(f.name).values, f.values)
         assert back.time == s.time and back.step == s.step
@@ -392,8 +404,8 @@ def test_criterion_6_checkpoint_round_trip(tmp_path):
     s = Snapshot(time=1 / 7, step=0, producer_id=0, blocks=(blk,))
     adir = tmp_path / "ascii"
     adir.mkdir()
-    paths, _ = checkpoint_write(s, adir, "ascii")
-    back = checkpoint_read(paths[0])
+    path, _ = checkpoint_write(s, adir, "ascii")
+    back = checkpoint_read(path)
     ascii_ok = np.array_equal(back.blocks[0].fields[0].values, vals)
     _verdict(
         6, "checkpoint round-trip",

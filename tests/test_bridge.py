@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from nekmini import bridge as bridge_mod
@@ -85,12 +87,9 @@ def test_trigger_count_over_run():
     cfg = BridgeConfig((AnalysisSpec("null", 100),))
     br = Bridge(cfg)
     snap = make_snapshot()
-    n = 0
     for s in range(1, 3001):
-        reports = br.update(type(snap)(snap.time, s, 0, snap.blocks))
-        n += len(reports)
-    assert n == 3000 // 100
-    assert br.finalize()[0].invocations == 30
+        br.update(type(snap)(snap.time, s, 0, snap.blocks))
+    assert br.finalize()[0].invocations == 3000 // 100
 
 
 def test_non_monotone_step_rejected():
@@ -109,6 +108,15 @@ def test_invalid_snapshot_rejected():
         br.update(bad)
 
 
+def test_two_block_snapshot_rejected():
+    br = Bridge(BridgeConfig((AnalysisSpec("null", 1),)))
+    snap = make_snapshot()
+    two = type(snap)(snap.time, 1, 0, snap.blocks * 2)
+    with pytest.raises(ValueError, match="2 blocks"):
+        br.update(two)
+    assert br.finalize()[0].invocations == 0
+
+
 class _BoomSink:
     def __init__(self):
         self.calls = 0
@@ -121,7 +129,7 @@ class _BoomSink:
         pass
 
 
-def test_sink_failure_isolated(tmp_path):
+def test_sink_failure_isolated(tmp_path, caplog):
     cfg = parse_config(
         f'<sensei><analysis type="null" frequency="1"/>'
         f'<analysis type="stats" frequency="1" path="{tmp_path}/s.csv"/></sensei>'
@@ -129,17 +137,21 @@ def test_sink_failure_isolated(tmp_path):
     br = Bridge(cfg)
     br.sinks[0] = _BoomSink()  # inject a failure into the first sink
     snap = make_snapshot()
-    reports = br.update(snap)
-    assert len(reports) == 2
-    assert reports[0].error is not None and "disk on fire" in reports[0].error
-    assert reports[1].error is None
+    with caplog.at_level("WARNING", logger="nekmini.bridge"):
+        br.update(snap)
+    # the failure is logged with its kind, step and error text
+    failures = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert [r.getMessage() for r in failures] == [
+        "sink null failed at step 0: OSError: disk on fire"]
     # failure counted, later sink still ran
     summaries = br.finalize()
-    assert summaries[0].failures == 1
-    assert summaries[1].invocations == 1
+    assert (summaries[0].invocations, summaries[0].failures) == (1, 1)
+    assert (summaries[1].invocations, summaries[1].failures) == (1, 0)
+    assert summaries[1].bytes_written == (tmp_path / "s.csv").stat().st_size - len(
+        "step,time,field,min,max,mean\n")
 
 
-def test_finalize_totals_match_step_reports(tmp_path):
+def test_finalize_totals_match_triggers_and_files(tmp_path):
     cfg = parse_config(
         f'<sensei><analysis type="checkpoint" frequency="3" dir="{tmp_path}/ck"/>'
         f'<analysis type="null" frequency="2"/></sensei>'
@@ -147,17 +159,20 @@ def test_finalize_totals_match_step_reports(tmp_path):
     br = Bridge(cfg)
     p = SolverParams(nx=8, ny=8, perturbation_amplitude=1e-3)
     s = init_state(p)
-    accum = {}
+    t0 = time.perf_counter()
     for _ in range(20):
         s = step(s, p)
-        for r in br.update(snapshot_of(s, 0)):
-            inv, secs, nbytes = accum.get(r.kind, (0, 0.0, 0))
-            accum[r.kind] = (inv + 1, secs + r.seconds, nbytes + r.bytes_written)
-    for summary in br.finalize():
-        inv, secs, nbytes = accum[summary.kind]
-        assert summary.invocations == inv
-        assert summary.bytes_written == nbytes
-        assert summary.seconds == pytest.approx(secs)
+        br.update(snapshot_of(s, 0))
+    elapsed = time.perf_counter() - t0
+    ck, null = br.finalize()
+    files = list((tmp_path / "ck").glob("*.vtk"))
+    # steps 1..20: every 3rd for checkpoint, every 2nd for null
+    assert (ck.kind, ck.invocations, ck.failures) == ("checkpoint", 6, 0)
+    assert (null.kind, null.invocations, null.failures) == ("null", 10, 0)
+    assert len(files) == 6
+    assert ck.bytes_written == sum(f.stat().st_size for f in files)
+    assert null.bytes_written == 0
+    assert 0 < ck.seconds < elapsed and 0 < null.seconds < elapsed
 
 
 def test_unwritable_output_fails_at_initialize(tmp_path):
@@ -171,5 +186,5 @@ def test_unwritable_output_fails_at_initialize(tmp_path):
 
 def test_empty_config_update_is_noop():
     br = Bridge(BridgeConfig())
-    assert br.update(make_snapshot()) == []
+    br.update(make_snapshot())
     assert br.finalize() == []

@@ -10,7 +10,6 @@ from nekmini.data_model import (
     SchemaMismatch,
     Snapshot,
     assemble_global,
-    metadata_of,
     validate_snapshot,
 )
 
@@ -54,6 +53,12 @@ def test_empty_snapshot_invalid():
     assert validate_snapshot(Snapshot(0.0, 0, 0, ())) != []
 
 
+def test_two_block_snapshot_reported():
+    # blocks combine only in assemble_global; a snapshot holds one block
+    s = Snapshot(0.0, 0, 0, (make_block(2, 2, 1), make_block(2, 2, 1, origin_i=2, seed=1)))
+    assert validate_snapshot(s) == ["snapshot holds 2 blocks, expected 1"]
+
+
 def test_duplicate_field_name_reported():
     b = make_block(2, 2, 1, names=("s", "s"), components=(1, 1))
     violations = validate_snapshot(Snapshot(0.0, 0, 0, (b,)))
@@ -95,6 +100,23 @@ def test_assemble_spacing_mismatch_rejected():
         assemble_global([b0, b1])
 
 
+@pytest.mark.parametrize("origin_i, shown", [(5, "(5, 8, 0, 7, 0, 0)"), (3, "(3, 6, 0, 7, 0, 0)")],
+                         ids=["gap", "overlap"])
+def test_assemble_rejects_blocks_that_do_not_tile(origin_i, shown):
+    b0 = make_block(4, 8, 1)
+    b1 = make_block(4, 8, 1, origin_i=origin_i, seed=1)
+    with pytest.raises(SchemaMismatch, match="do not tile") as err:
+        assemble_global([b0, b1])
+    assert "(0, 3, 0, 7, 0, 0)" in str(err.value) and shown in str(err.value)
+
+
+def test_assemble_rejects_blocks_out_of_order():
+    b0 = make_block(4, 8, 1)
+    b1 = make_block(4, 8, 1, origin_i=4, seed=1)
+    with pytest.raises(SchemaMismatch, match="do not tile"):
+        assemble_global([b1, b0])
+
+
 def test_assemble_schema_mismatch_rejected():
     b0 = make_block(4, 8, 1, names=("a",))
     b1 = make_block(4, 8, 1, origin_i=4, names=("b",))
@@ -119,14 +141,6 @@ def test_assemble_preserves_point_count_and_validity(k, ni, nj, comps, seed):
     g = assemble_global(blocks)
     assert g.point_count == sum(b.point_count for b in blocks)
     assert validate_snapshot(Snapshot(0.0, 0, 0, (g,))) == []
-
-
-def test_metadata_of():
-    s = Snapshot(0.0, 3, 0, (make_block(4, 8, 1), make_block(4, 8, 1, origin_i=4, seed=5)))
-    md = metadata_of(s)
-    assert md.global_extents == (0, 7, 0, 7, 0, 0)
-    assert md.field_descriptors == (("s", POINT, 1),)
-    assert md.block_count == 2
 
 
 def test_field_values_are_immutable():

@@ -131,6 +131,10 @@ class TestInsitu:
         assert summary[("run", "sink:checkpoint")][2] == written
         # triggers at steps 0, 2, 4
         assert len(list(ck.glob("*.vtk"))) == 3
+        # the report command rewrites the run's summary without losing a row
+        reporting.report(out, out)
+        rerun = reporting.read_summary(out / "summary.csv")
+        assert {k: v[2] for k, v in rerun.items()} == {k: v[2] for k, v in summary.items()}
 
     def test_summary_sums_every_sink_of_one_kind(self, tmp_path):
         # two checkpoint sinks share the sink:checkpoint row: its bytes are
@@ -228,6 +232,17 @@ class TestOrchestration:
         assert names == [
             "step000000_blk000.vtk", "step000002_blk000.vtk", "step000004_blk000.vtk",
         ]
+        # the merged summary keeps every role's rows, the endpoint's too
+        merged = reporting.read_summary(out / "summary.csv")
+        written = sum(p.stat().st_size for p in ck.glob("*.vtk"))
+        assert merged[("orc", "sink:checkpoint")][2] == written
+        sent = sum(reporting.read_summary(out / f"producer_{pid}" / "summary.csv")
+                   [("orc", "transport")][2] for pid in (0, 1))
+        assert merged[("orc", "transport")][2] == merged[("orc", "endpoint:received")][2] == sent
+        # the endpoint's timings.csv holds its step -1 totals
+        ep_rows = reporting.read_timings(out / "endpoint" / "timings.csv")
+        assert sorted((r.step, r.phase) for r in ep_rows) == [
+            (-1, "endpoint:received"), (-1, "sink:checkpoint")]
 
     def test_run_intransit_surfaces_producer_failure(self, tmp_path):
         # producers=3 launches pids 0..2 but the endpoint expects 3 and gets

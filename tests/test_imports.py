@@ -1,10 +1,15 @@
-"""Every imported name in the package and its tests is used."""
+"""Every imported name in the package and its tests is used, and every
+top-level function and class of the package is used by the program."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "nekmini").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "nekmini").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+PROGRAM = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+# solver diagnostics that acceptance criterion 7 uses as physics oracles
+TEST_ORACLES = {"kinetic_energy", "max_divergence", "nusselt"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +40,34 @@ def test_finds_an_unused_import():
 def test_no_unused_imports():
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in MODULES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def top_level_definitions(source: str) -> set[str]:
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module loads, reads as an attribute or imports."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_finds_an_unreferenced_definition():
+    src = "def used():\n    pass\n\nclass Unused:\n    pass\n"
+    assert top_level_definitions(src) - referenced_names(src + "used()\n") == {"Unused"}
+
+
+def test_every_package_definition_is_used_by_the_program():
+    referenced = set().union(*(referenced_names(p.read_text()) for p in PROGRAM))
+    unused = {str(p.relative_to(ROOT)): sorted(top_level_definitions(p.read_text())
+                                               - referenced - TEST_ORACLES)
+              for p in PACKAGE}
+    assert {path: names for path, names in unused.items() if names} == {}

@@ -135,10 +135,24 @@ class TestReport:
         write_timings(d / "timings.csv", [TimingRecord("r", 1, "sink", 0.01)])
         write_summary(d / "summary.csv", {("r", "sink"): (0.01, 0.0, 500)})
         # in-place report: input summary doubles as the output path, and its
-        # bytes must not compound across reruns
+        # bytes must neither compound across reruns nor be lost
         reporting.report(d, d)
         reporting.report(d, d)
-        assert read_summary(d / "summary.csv")[("r", "sink")][2] == 0
+        assert read_summary(d / "summary.csv")[("r", "sink")][2] == 500
+
+    def test_merged_output_over_role_dirs_is_not_folded_back_in(self, tmp_path):
+        # a merged summary.csv with no timings.csv next to it is a previous
+        # output: rerunning over the same tree neither compounds nor loses
+        for sub, nbytes in (("endpoint", 700), ("producer_0", 40)):
+            d = tmp_path / sub
+            d.mkdir()
+            write_timings(d / "timings.csv", [TimingRecord("b", -1, f"{sub}:x", 0.5)])
+            write_summary(d / "summary.csv", {("b", f"{sub}:x"): (0.5, 0.0, nbytes)})
+        for _ in range(2):
+            reporting.report(tmp_path, tmp_path)
+            agg = read_summary(tmp_path / "summary.csv")
+            assert {key: v[2] for key, v in agg.items()} == {
+                ("b", "endpoint:x"): 700, ("b", "producer_0:x"): 40}
 
     def test_report_with_no_timings_raises(self, tmp_path):
         with pytest.raises(ValueError, match="no data"):

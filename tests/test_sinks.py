@@ -25,25 +25,16 @@ from nekmini.sinks import (
 )
 
 
-def random_snapshot(rng, ni=5, nj=4, step=7, producer=2, nblocks=1):
-    blocks = []
-    for b in range(nblocks):
-        npts = ni * nj
-        fields = (
-            FieldArray("temperature", POINT, 1, rng.standard_normal(npts)),
-            FieldArray("velocity", POINT, 2, rng.standard_normal(2 * npts)),
-            FieldArray("pressure", CELL, 1, rng.standard_normal((ni - 1) * (nj - 1))),
-        )
-        o = b * (ni - 1)
-        blocks.append(
-            Block(
-                origin=(o * 0.25, 0.0, 0.0),
-                spacing=(0.25, 0.25, 1.0),
-                extents=(o, o + ni - 1, 0, nj - 1, 0, 0),
-                fields=fields,
-            )
-        )
-    return Snapshot(time=0.125 * step, step=step, producer_id=producer, blocks=tuple(blocks))
+def random_snapshot(rng, ni=5, nj=4, step=7, producer=2):
+    npts = ni * nj
+    fields = (
+        FieldArray("temperature", POINT, 1, rng.standard_normal(npts)),
+        FieldArray("velocity", POINT, 2, rng.standard_normal(2 * npts)),
+        FieldArray("pressure", CELL, 1, rng.standard_normal((ni - 1) * (nj - 1))),
+    )
+    blk = Block(origin=(0.0, 0.0, 0.0), spacing=(0.25, 0.25, 1.0),
+                extents=(0, ni - 1, 0, nj - 1, 0, 0), fields=fields)
+    return Snapshot(time=0.125 * step, step=step, producer_id=producer, blocks=(blk,))
 
 
 def ascii_vtk_line_by_line(block, step, producer, time):
@@ -103,26 +94,26 @@ class TestCheckpointRoundTrip:
     def test_round_trip_bit_exact(self, tmp_path, format):
         rng = np.random.default_rng(11)
         s = random_snapshot(rng)
-        paths, total = checkpoint_write(s, tmp_path, format)
-        assert len(paths) == 1
-        assert total == paths[0].stat().st_size
-        assert_snapshots_equal(s, checkpoint_read(paths[0]))
+        path, total = checkpoint_write(s, tmp_path, format)
+        assert path == tmp_path / "step000007_blk002.vtk"
+        assert total == path.stat().st_size
+        assert_snapshots_equal(s, checkpoint_read(path))
 
     def test_many_randomized_binary_round_trips(self, tmp_path):
         # 100 randomized snapshots, every value recovered bit-for-bit
         rng = np.random.default_rng(42)
         for k in range(100):
             s = random_snapshot(rng, ni=int(rng.integers(2, 8)), nj=int(rng.integers(2, 8)), step=k)
-            paths, _ = checkpoint_write(s, tmp_path, "binary")
-            assert_snapshots_equal(s, checkpoint_read(paths[0]))
+            path, _ = checkpoint_write(s, tmp_path, "binary")
+            assert_snapshots_equal(s, checkpoint_read(path))
 
     def test_ascii_preserves_awkward_floats(self, tmp_path):
         vals = np.array([0.1, 1.0 / 3.0, np.nextafter(1.0, 2.0), -2.5e-300, 7e300, 0.0])
         f = FieldArray("temperature", POINT, 1, vals)
         blk = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 2, 0, 1, 0, 0), (f,))
         s = Snapshot(time=1.0 / 7.0, step=1, producer_id=0, blocks=(blk,))
-        paths, _ = checkpoint_write(s, tmp_path, "ascii")
-        back = checkpoint_read(paths[0])
+        path, _ = checkpoint_write(s, tmp_path, "ascii")
+        back = checkpoint_read(path)
         assert np.array_equal(back.blocks[0].fields[0].values, vals)
         assert back.time == 1.0 / 7.0
 
@@ -131,31 +122,18 @@ class TestCheckpointRoundTrip:
         # 5x4 gives 20, 40 and 12 values, none a multiple of 9 per line
         rng = np.random.default_rng(n)
         s = random_snapshot(rng, ni=n, nj=4 if n == 5 else n)
-        paths, total = checkpoint_write(s, tmp_path, "ascii")
+        path, total = checkpoint_write(s, tmp_path, "ascii")
         expected = ascii_vtk_line_by_line(s.blocks[0], s.step, s.producer_id, s.time)
-        assert paths[0].read_bytes() == expected
+        assert path.read_bytes() == expected
         assert total == len(expected)
-
-    def test_multi_block_snapshot_one_file_per_block(self, tmp_path):
-        rng = np.random.default_rng(5)
-        s = random_snapshot(rng, nblocks=3, producer=1)
-        paths, _ = checkpoint_write(s, tmp_path, "binary")
-        assert [p.name for p in paths] == [
-            "step000007_blk001.vtk",
-            "step000007_blk002.vtk",
-            "step000007_blk003.vtk",
-        ]
-        for bi, p in enumerate(paths):
-            back = checkpoint_read(p)
-            assert back.blocks[0].extents == s.blocks[bi].extents
 
     def test_binary_file_size_oracle(self, tmp_path):
         # header is ascii text; payload is exactly 8 bytes per value plus a
         # separator newline per field
         rng = np.random.default_rng(3)
         s = random_snapshot(rng, ni=6, nj=5)
-        paths, total = checkpoint_write(s, tmp_path, "binary")
-        raw = paths[0].read_bytes()
+        path, total = checkpoint_write(s, tmp_path, "binary")
+        raw = path.read_bytes()
         npts, ncell = 30, 20
         payload = 8 * (npts + 2 * npts + ncell)
         text = len(raw) - payload
@@ -167,11 +145,11 @@ class TestCheckpointRoundTrip:
     def test_read_rejects_truncated_payload(self, tmp_path):
         rng = np.random.default_rng(1)
         s = random_snapshot(rng)
-        paths, _ = checkpoint_write(s, tmp_path, "binary")
-        raw = paths[0].read_bytes()
-        paths[0].write_bytes(raw[:-20])
+        path, _ = checkpoint_write(s, tmp_path, "binary")
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-20])
         with pytest.raises(CheckpointFormatError, match="truncated"):
-            checkpoint_read(paths[0])
+            checkpoint_read(path)
 
     def test_read_rejects_garbage(self, tmp_path):
         p = tmp_path / "x.vtk"
@@ -182,11 +160,11 @@ class TestCheckpointRoundTrip:
     def test_read_rejects_bad_mode(self, tmp_path):
         rng = np.random.default_rng(1)
         s = random_snapshot(rng)
-        paths, _ = checkpoint_write(s, tmp_path, "ascii")
-        raw = paths[0].read_bytes().replace(b"\nASCII\n", b"\nBASE64\n")
-        paths[0].write_bytes(raw)
+        path, _ = checkpoint_write(s, tmp_path, "ascii")
+        raw = path.read_bytes().replace(b"\nASCII\n", b"\nBASE64\n")
+        path.write_bytes(raw)
         with pytest.raises(CheckpointFormatError, match="data mode"):
-            checkpoint_read(paths[0])
+            checkpoint_read(path)
 
     def test_write_rejects_empty_block(self, tmp_path):
         blk = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 1, 0, 1, 0, 0), ())
@@ -206,8 +184,8 @@ class TestCheckpointRoundTrip:
         rng = np.random.default_rng(seed)
         s = random_snapshot(rng, ni=ni, nj=nj)
         d = tmp_path_factory.mktemp("ckpt")
-        paths, _ = checkpoint_write(s, d, format)
-        assert_snapshots_equal(s, checkpoint_read(paths[0]))
+        path, _ = checkpoint_write(s, d, format)
+        assert_snapshots_equal(s, checkpoint_read(path))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +327,7 @@ class TestSinks:
 
     def test_stats_sink_rows_match_numpy(self, tmp_path):
         rng = np.random.default_rng(0)
-        s = random_snapshot(rng, nblocks=2)
+        s = random_snapshot(rng)
         path = tmp_path / "stats.csv"
         sink = StatsSink({"path": str(path)})
         sink.consume(s)
@@ -359,12 +337,28 @@ class TestSinks:
         assert len(lines) == 4  # three fields, one row each
         for line in lines[1:]:
             step, time, name, lo, hi, mean = line.split(",")
-            vals = np.concatenate([b.field_named(name).values for b in s.blocks])
+            vals = s.blocks[0].field_named(name).values
             assert int(step) == s.step
             assert float(time) == s.time
             assert float(lo) == vals.min()
             assert float(hi) == vals.max()
             assert float(mean) == vals.mean()
+
+    def test_stats_sink_rows_do_not_depend_on_alignment(self, tmp_path):
+        # a field decoded off the wire is a view at any byte offset; its
+        # mean must be the one numpy gives an aligned copy
+        vals = np.random.default_rng(0).random(512 * 512)
+        buf = bytearray(8 * vals.size + 1)
+        buf[1:] = vals.tobytes()
+        view = np.frombuffer(memoryview(buf).toreadonly(), np.float64, offset=1)
+        assert not view.flags.aligned
+        blk = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 511, 0, 511, 0, 0),
+                    (FieldArray("temperature", POINT, 1, view),))
+        assert blk.fields[0].values is view  # adopted as it is
+        sink = StatsSink({"path": str(tmp_path / "stats.csv")})
+        sink.consume(Snapshot(time=0.0, step=0, producer_id=0, blocks=(blk,)))
+        row = (tmp_path / "stats.csv").read_text().splitlines()[1]
+        assert row == f"0,0,temperature,{vals.min():.17g},{vals.max():.17g},{vals.mean():.17g}"
 
     def test_stats_sink_appends_across_steps(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from nekmini import transport
 from nekmini.data_model import CELL, POINT, Block, FieldArray, Snapshot
+from nekmini.harness import run_endpoint
 from nekmini.transport import (
     AckTimeout,
     ConnectionLost,
@@ -67,7 +68,7 @@ class RecordingBridge:
 
 def producer_block(pid, ni=4, nj=3, step=0, seed=None):
     rng = np.random.default_rng(1000 * pid + step if seed is None else seed)
-    o = pid * (ni - 1)
+    o = pid * ni  # producer k owns columns k*ni .. k*ni + ni - 1, as in snapshot_of
     npts = ni * nj
     fields = (
         FieldArray("temperature", POINT, 1, rng.standard_normal(npts)),
@@ -265,6 +266,44 @@ def test_bridge_failure_error_acks_producers():
     assert not t.is_alive()
     assert ep.summary.steps_completed == 1
     assert ep.summary.incomplete_steps == 1
+
+
+def test_blocks_that_do_not_tile_error_ack_the_step(tmp_path):
+    # two expected producers with ids 0 and 3: their blocks leave a gap of
+    # columns 4..11, so the step is error-acked, not stored as columns 0..7
+    port_file = tmp_path / "addr"
+    t = threading.Thread(target=run_endpoint, args=(tmp_path / "ep", None, "t", 2),
+                         kwargs=dict(port_file=port_file, step_timeout=10.0), daemon=True)
+    t.start()
+    deadline = time.monotonic() + 10
+    while not port_file.exists():
+        assert time.monotonic() < deadline
+        time.sleep(0.02)
+    address = port_file.read_text()
+    conns = [ProducerConnection(ProducerConfig(address, pid, connect_retries=3,
+                                               retry_backoff=0.05)) for pid in (0, 3)]
+    results = {}
+
+    def send(conn, pid):
+        try:
+            results[pid] = conn.send_step(producer_snapshot(pid, 0))
+        except ProtocolError as e:
+            results[pid] = str(e)
+
+    threads = [threading.Thread(target=send, args=(c, pid)) for c, pid in zip(conns, (0, 3))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=10)
+    for c in conns:
+        c.close()
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert results == {0: "endpoint abandoned step 0", 3: "endpoint abandoned step 0"}
+    lines = (tmp_path / "ep" / "endpoint_summary.txt").read_text().splitlines()
+    assert "steps_completed=0" in lines and "incomplete_steps=1" in lines
+    assert ("error=step 0: SchemaMismatch: blocks do not tile along x: extents "
+            "(0, 3, 0, 2, 0, 0) are followed by (12, 15, 0, 2, 0, 0)") in lines
 
 
 def test_endpoint_exits_when_no_producer_connects():

@@ -12,6 +12,7 @@ from nekmini.wire import (
     ERROR_STEP,
     HEADER,
     MAGIC,
+    MAX_PAYLOAD,
     TAG_BLOCK_PAYLOAD,
     TAG_BYE,
     TAG_HELLO,
@@ -29,9 +30,16 @@ from nekmini.wire import (
     check_header,
     decode_block,
     decode_message,
-    encode_block,
     encode_message,
 )
+
+
+def encode_block(b):
+    """A block's payload bytes: its frame without the header."""
+    return encode_message(BlockPayload(b))[HEADER.size:]
+
+
+_BLOCK_FIXED_SIZE = 24 + 24 + 48 + 4  # origin, spacing, extents, field count
 
 
 def make_block(rng, ni=4, nj=3, nfields=2):
@@ -111,12 +119,14 @@ class TestDecodeIncremental:
             decode_message(bytes(raw))
 
     def test_payload_length_cap_enforced(self):
-        raw = HEADER.pack(MAGIC, VERSION, TAG_BLOCK_PAYLOAD, 1 << 40)
-        with pytest.raises(ProtocolError, match="cap"):
-            decode_message(raw)
-        # the same declared length is fine under a larger cap (still waiting
-        # for payload bytes, so (None, 0))
-        assert decode_message(raw, max_payload=1 << 41) == (None, 0)
+        assert MAX_PAYLOAD == 1 << 30
+        for length in (MAX_PAYLOAD + 1, 1 << 40):
+            raw = HEADER.pack(MAGIC, VERSION, TAG_BLOCK_PAYLOAD, length)
+            with pytest.raises(ProtocolError, match="cap"):
+                decode_message(raw)
+        # a length at the cap is fine (still waiting for payload bytes)
+        raw = HEADER.pack(MAGIC, VERSION, TAG_BLOCK_PAYLOAD, MAX_PAYLOAD)
+        assert decode_message(raw) == (None, 0)
 
     def test_bye_with_payload_rejected(self):
         raw = HEADER.pack(MAGIC, VERSION, TAG_BYE, 1) + b"\x00"
@@ -196,10 +206,11 @@ class TestRoundTrips:
         rng = np.random.default_rng(6)
         b = make_block(rng)
         frame = encode_message(BlockPayload(b))
-        assert len(frame) == HEADER.size + len(encode_block(b))
-        assert bytes(frame[HEADER.size:]) == bytes(encode_block(b))
-        assert HEADER.unpack_from(frame) == (MAGIC, VERSION, TAG_BLOCK_PAYLOAD,
-                                             len(frame) - HEADER.size)
+        assert isinstance(frame, bytearray)
+        payload = _BLOCK_FIXED_SIZE + sum(2 + len(f.name) + 13 + 8 * f.values.size
+                                          for f in b.fields)
+        assert len(frame) == HEADER.size + payload
+        assert HEADER.unpack_from(frame) == (MAGIC, VERSION, TAG_BLOCK_PAYLOAD, payload)
 
     def test_non_utf8_field_name_rejected(self):
         f = FieldArray("ab", POINT, 1, np.zeros(12))
