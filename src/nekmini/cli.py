@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("producer", help="in transit producer")
     _add_solver_args(p)
-    p.add_argument("--endpoint", help=f"host:port (default ${harness.ENDPOINT_ENV})")
+    p.add_argument("--endpoint", required=True, help="host:port of the endpoint")
     p.add_argument("--id", type=int, default=0)
     p.add_argument("--steps", type=int, default=3000)
     p.add_argument("--frequency", type=int, default=100)
@@ -149,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
 
     elif args.command == "report":
         summary, chart = reporting.report(args.dir, args.out)
-        print(f"wrote {summary} and {chart}")
+        print(f"wrote {summary}" + (f" and {chart}" if chart else ""))
 
     return 0
 

@@ -15,11 +15,14 @@ kind's total, see `_write_reports`):
 The "Original" baseline configuration is an empty bridge config: the
 loop, the snapshot copy, and the measurement all still run, only the
 sinks are absent.
+
+Every setting of a role arrives through its CLI flags: the orchestrator
+passes each producer its endpoint address and every SolverParams field.
+Nothing is read from the environment.
 """
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 import time
@@ -30,15 +33,8 @@ from nekmini import bridge as bridge_mod
 from nekmini import reporting
 from nekmini.reporting import MemoryRecord, TimingRecord
 from nekmini.solver import SolverParams, init_state, snapshot_of, step
-from nekmini.transport import (
-    STEP_TIMEOUT,
-    Endpoint,
-    EndpointConfig,
-    ProducerConfig,
-    ProducerConnection,
-)
+from nekmini.transport import Endpoint, ProducerConnection
 
-ENDPOINT_ENV = "NEKMINI_ENDPOINT"
 ENDPOINT_EXIT_TIMEOUT = 120.0  # s the orchestrator waits for the endpoint after its producers
 
 
@@ -168,12 +164,11 @@ def run_insitu(cfg: RunConfig) -> Path:
 def run_producer(cfg: RunConfig) -> Path:
     """In transit producer: independent solver instance streaming
     triggered snapshots to the endpoint."""
-    address = cfg.endpoint_address or os.environ.get(ENDPOINT_ENV)
-    if not address:
-        raise ValueError(f"no endpoint address (flag or ${ENDPOINT_ENV})")
+    if not cfg.endpoint_address:
+        raise ValueError("no endpoint address")
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    conn = ProducerConnection(ProducerConfig(address, cfg.producer_id))
+    conn = ProducerConnection(cfg.endpoint_address, cfg.producer_id)
     try:
         rows = _drive(cfg, conn.send_step, "transport", cfg.frequency)
     finally:
@@ -185,16 +180,13 @@ def run_producer(cfg: RunConfig) -> Path:
 
 def run_endpoint(output_dir: str | Path, bridge_config_path: str | None, label: str,
                  producers: int, listen: str = "127.0.0.1:0",
-                 port_file: str | Path | None = None,
-                 step_timeout: float = STEP_TIMEOUT) -> Path:
+                 port_file: str | Path | None = None) -> Path:
     """In transit endpoint: runs the configured bridge behind the staging
     transport. Writes the bound address to port_file once listening."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     br = _load_bridge(bridge_config_path)
-    ep = Endpoint(
-        EndpointConfig(listen, expected_producers=producers, step_timeout=step_timeout), br
-    )
+    ep = Endpoint(listen, producers, br)
     if port_file:
         tmp = Path(str(port_file) + ".tmp")
         tmp.write_text(ep.address)

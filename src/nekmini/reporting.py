@@ -209,13 +209,18 @@ def line_chart_svg(points: list[tuple[float, float]], title: str, xlabel: str, y
     return "\n".join(parts) + "\n"
 
 
-def report(input_dir: str | Path, output_dir: str | Path | None = None) -> tuple[Path, Path]:
+def report(input_dir: str | Path,
+           output_dir: str | Path | None = None) -> tuple[Path, Path | None]:
     """Aggregate every timings.csv under input_dir into summary.csv + chart.svg.
 
     total_bytes per (label, phase) is summed from every summary.csv that
     has a timings.csv next to it, i.e. that a run role wrote. Any other
     summary.csv is a previous merged output and is skipped, so a rerun
     neither loses nor compounds bytes.
+
+    The chart plots per-step rows only: a step -1 row holds a run total,
+    not a per-step mean. With no per-step rows (an endpoint's own
+    directory) no chart is written, and None is returned for its path.
     """
     input_dir = Path(input_dir)
     output_dir = Path(output_dir) if output_dir else input_dir
@@ -234,7 +239,11 @@ def report(input_dir: str | Path, output_dir: str | Path | None = None) -> tuple
 
     agg = aggregate(records, bytes_by_key)
     output_dir.mkdir(parents=True, exist_ok=True)
-    summary_path, chart_path = output_dir / "summary.csv", output_dir / "chart.svg"
+    summary_path = output_dir / "summary.csv"
     write_summary(summary_path, agg)
-    chart_path.write_text(bar_chart_svg(agg, "mean seconds per step phase"))
+    per_step = [r for r in records if r.step >= 0]
+    if not per_step:
+        return summary_path, None
+    chart_path = output_dir / "chart.svg"
+    chart_path.write_text(bar_chart_svg(aggregate(per_step), "mean seconds per step phase"))
     return summary_path, chart_path

@@ -238,7 +238,6 @@ def scalar_field(block: Block, name: str) -> np.ndarray:
 def render(
     s: Snapshot,
     field: str,
-    cmap: ColorMap = DEFAULT_COLORMAP,
     width: int = 256,
     height: int = 256,
     vmin: float | None = None,
@@ -246,8 +245,9 @@ def render(
 ) -> ImageRGB:
     """Pseudocolor image of one field, bilinear-sampled in index space.
 
-    Pixel row 0 is the top of the domain (highest y index). Deterministic:
-    identical inputs give byte-identical images.
+    Pixel row 0 is the top of the domain (highest y index), coloured by
+    DEFAULT_COLORMAP. Deterministic: identical inputs give byte-identical
+    images.
     """
     data = scalar_field(s.blocks[0], field)
     nj, ni = data.shape
@@ -282,7 +282,7 @@ def render(
         + t10 * ayc * (1 - axc)
         + t11 * ayc * axc
     )
-    rgb = cmap.apply(sampled)
+    rgb = DEFAULT_COLORMAP.apply(sampled)
     return ImageRGB(width, height, rgb.tobytes())
 
 
@@ -310,9 +310,6 @@ class CheckpointSink:
     def consume(self, s: Snapshot) -> int:
         return checkpoint_write(s, self.dir, self.format)[1]
 
-    def finalize(self):
-        pass
-
 
 class RenderSink:
     """Renders per trigger; with no explicit field, renders two images
@@ -332,25 +329,20 @@ class RenderSink:
     def consume(self, s: Snapshot) -> int:
         total = 0
         for name in self.fields:
-            img = render(s, name, DEFAULT_COLORMAP, self.width, self.height, self.vmin, self.vmax)
+            img = render(s, name, self.width, self.height, self.vmin, self.vmax)
             fname = f"step{s.step:06d}_{name.replace(':', '_')}.ppm"
             total += write_ppm(img, self.dir / fname)
         return total
 
-    def finalize(self):
-        pass
-
 
 class NullSink:
-    def __init__(self, params: dict[str, str] | None = None):
-        self.count = 0
+    """Consumes every snapshot and writes nothing (baseline and scaling runs)."""
+
+    def __init__(self, params: dict[str, str]):
+        pass
 
     def consume(self, s: Snapshot) -> int:
-        self.count += 1
         return 0
-
-    def finalize(self):
-        pass
 
 
 class StatsSink:
@@ -380,9 +372,6 @@ class StatsSink:
         with open(self.path, "a") as f:
             f.write(text)
         return len(text)
-
-    def finalize(self):
-        pass
 
 
 def _probe_writable(d: Path):

@@ -18,7 +18,7 @@ tolerance-capped loop so the discrete divergence
 
     div[j,i] = (u[j,i+1] - u[j,i])/dx + (v[j+1,i] - v[j,i])/dy
 
-is at most `projection_tolerance` in max-norm after every step.
+is at most PROJECTION_TOLERANCE in max-norm after every step.
 
 The public point grid has nx points in x (periodic, spacing dx) and ny
 points in y spanning [0, 1]; dx = dy = 1/(ny-1). `snapshot_of` samples
@@ -34,6 +34,10 @@ import numpy as np
 import scipy.fft
 
 from nekmini.data_model import POINT, Block, FieldArray, Snapshot
+
+
+PROJECTION_TOLERANCE = 1.0e-8  # max-norm bound on the discrete divergence
+PROJECTION_MAX_ITERS = 8  # Poisson solves a step may spend reaching it
 
 
 class StabilityError(RuntimeError):
@@ -53,8 +57,6 @@ class SolverParams:
     dt: float | None = None  # None: use stable_dt()
     seed: int = 0
     perturbation_amplitude: float = 1.0e-3
-    projection_tolerance: float = 1.0e-8
-    projection_max_iters: int = 8
 
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
@@ -206,21 +208,21 @@ def step(s: SolverState, p: SolverParams) -> SolverState:
     # --- pressure projection (tolerance-capped loop) ---
     u_new, v_new = u_star, v_star
     p_total = np.zeros_like(s.pressure)
-    for _ in range(p.projection_max_iters):
+    for iters in range(PROJECTION_MAX_ITERS + 1):
         div = divergence(u_new, v_new, dx, dy)
-        if float(np.abs(div).max()) <= p.projection_tolerance:
+        residual = float(np.abs(div).max())
+        if residual <= PROJECTION_TOLERANCE:
             break
+        if iters == PROJECTION_MAX_ITERS:
+            raise ProjectionError(
+                f"divergence {residual:.3e} above tolerance {PROJECTION_TOLERANCE:.3e} "
+                f"after {iters} projection iterations"
+            )
         phi = _poisson_solve(div / dt, dx, dy)
         u_new = u_new - dt * (phi - np.roll(phi, 1, axis=1)) / dx
         v_new = v_new.copy()
         v_new[1:-1] -= dt * (phi[1:] - phi[:-1]) / dy
         p_total = p_total + phi
-    else:
-        raise ProjectionError(
-            f"divergence {float(np.abs(divergence(u_new, v_new, dx, dy)).max()):.3e} "
-            f"above tolerance {p.projection_tolerance:.3e} "
-            f"after {p.projection_max_iters} projection iterations"
-        )
 
     # --- temperature: conservative upwind fluxes + diffusion ---
     flux_x = u_new * np.where(u_new > 0, np.roll(temp, 1, axis=1), temp)

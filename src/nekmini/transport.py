@@ -16,10 +16,13 @@ buffer of the frame's size and decodes the frame once, so receiving is
 linear in the payload size. Decoded field values are read-only views
 over that buffer, which the data model adopts without a copy.
 
-Both sides give up after STEP_TIMEOUT seconds (120 s by default): a
-producer waiting for an ack, and an endpoint that hears nothing from any
-connection. An idle endpoint then abandons a step still missing some
-producers' blocks, or exits if no producer ever connected.
+Both sides give up after STEP_TIMEOUT seconds: a producer waiting for
+an ack, and an endpoint that hears nothing from any connection. An idle
+endpoint then abandons a step still missing some producers' blocks, or
+exits if no producer ever connected. A producer tries to connect
+CONNECT_RETRIES + 1 times, sleeping RETRY_BACKOFF seconds times the
+attempt number after each failure. These are module constants, not
+options: every role reads the same values.
 
 Failure policy: a producer disconnecting mid-step discards that step;
 producers still waiting receive an ack carrying the ERROR_STEP sentinel,
@@ -56,6 +59,8 @@ log = logging.getLogger(__name__)
 
 
 STEP_TIMEOUT = 120.0  # s either side waits for the other before giving up
+CONNECT_RETRIES = 20  # connection attempts after the first
+RETRY_BACKOFF = 0.25  # s; the sleep after failed attempt n is n times this
 
 
 class TransportError(RuntimeError):
@@ -90,8 +95,9 @@ class FrameReader:
         self.sock = sock
         self.bytes_consumed = 0
 
-    def recv_message(self, timeout: float | None = None) -> WireMessage:
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def recv_message(self) -> WireMessage:
+        """The next whole frame, read within STEP_TIMEOUT seconds."""
+        deadline = time.monotonic() + STEP_TIMEOUT
         header = bytearray(HEADER.size)
         self._recv_into(memoryview(header), deadline)
         _, total = check_header(header)
@@ -102,15 +108,12 @@ class FrameReader:
         self.bytes_consumed += total
         return msg
 
-    def _recv_into(self, view: memoryview, deadline: float | None):
+    def _recv_into(self, view: memoryview, deadline: float):
         while view:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise AckTimeout("timed out waiting for a frame")
-                self.sock.settimeout(remaining)
-            else:
-                self.sock.settimeout(None)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise AckTimeout("timed out waiting for a frame")
+            self.sock.settimeout(remaining)
             try:
                 n = self.sock.recv_into(view)
             except socket.timeout:
@@ -124,46 +127,37 @@ class FrameReader:
 # producer side
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProducerConfig:
-    endpoint_address: str
-    producer_id: int
-    connect_retries: int = 20
-    retry_backoff: float = 0.25
-    step_timeout: float = STEP_TIMEOUT
+def _connect(address: str) -> socket.socket:
+    host, port = parse_address(address)
+    last: Exception | None = None
+    for attempt in range(CONNECT_RETRIES + 1):
+        try:
+            return socket.create_connection((host, port), timeout=10.0)
+        except OSError as e:
+            last = e
+            time.sleep(RETRY_BACKOFF * (attempt + 1))
+    raise TransportError(f"cannot reach endpoint {address}: {last}")
 
 
 class ProducerConnection:
     """Connects, handshakes, and streams steps with blocking ack semantics."""
 
-    def __init__(self, cfg: ProducerConfig):
-        self.cfg = cfg
+    def __init__(self, endpoint_address: str, producer_id: int):
         self.bytes_sent = 0
-        self.sock = self._connect()
+        self.sock = _connect(endpoint_address)
         self.reader = FrameReader(self.sock)
         try:
-            self._send(Hello(cfg.producer_id))
-            ack = self.reader.recv_message(cfg.step_timeout)
+            self._send(Hello(producer_id))
+            ack = self.reader.recv_message()
             if not isinstance(ack, HelloAck):
                 raise ProtocolError(f"expected HelloAck, got {type(ack).__name__}")
             if not ack.accepted:
                 raise TransportError(
-                    f"endpoint rejected producer {cfg.producer_id} (duplicate id or endpoint full)"
+                    f"endpoint rejected producer {producer_id} (duplicate id or endpoint full)"
                 )
         except BaseException:
             self.sock.close()
             raise
-
-    def _connect(self) -> socket.socket:
-        host, port = parse_address(self.cfg.endpoint_address)
-        last: Exception | None = None
-        for attempt in range(self.cfg.connect_retries + 1):
-            try:
-                return socket.create_connection((host, port), timeout=10.0)
-            except OSError as e:
-                last = e
-                time.sleep(self.cfg.retry_backoff * (attempt + 1))
-        raise TransportError(f"cannot reach endpoint {self.cfg.endpoint_address}: {last}")
 
     def _send(self, m: WireMessage):
         data = encode_message(m)
@@ -178,7 +172,7 @@ class ProducerConnection:
         self._send(StepHeader(s.step, s.time, len(s.blocks)))
         for b in s.blocks:
             self._send(BlockPayload(b))
-        ack = self.reader.recv_message(self.cfg.step_timeout)
+        ack = self.reader.recv_message()
         if not isinstance(ack, StepAck):
             raise ProtocolError(f"expected StepAck, got {type(ack).__name__}")
         if ack.step == ERROR_STEP:
@@ -199,13 +193,6 @@ class ProducerConnection:
 # endpoint side
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EndpointConfig:
-    listen_address: str = "127.0.0.1:0"
-    expected_producers: int = 4  # the fan-in ratio K
-    step_timeout: float = STEP_TIMEOUT
-
-
 @dataclass
 class EndpointSummary:
     steps_completed: int = 0
@@ -219,16 +206,17 @@ class EndpointSummary:
 class Endpoint:
     """Accepts exactly K producers and feeds assembled steps to a bridge.
 
-    `bridge` is any object with update(snapshot) and finalize(); each
-    completed step invokes update exactly once with the global block
-    assembled from all K producer blocks ordered by producer id.
+    `bridge` is any object with update(snapshot); each completed step
+    invokes update exactly once with the global block assembled from all
+    K producer blocks ordered by producer id. K is `expected_producers`,
+    the fan-in ratio.
     """
 
-    def __init__(self, cfg: EndpointConfig, bridge):
-        self.cfg = cfg
+    def __init__(self, listen_address: str, expected_producers: int, bridge):
+        self.expected_producers = expected_producers
         self.bridge = bridge
         self.summary = EndpointSummary()
-        host, port = parse_address(cfg.listen_address)
+        host, port = parse_address(listen_address)
         self._listener = socket.create_server((host, port))
 
     @property
@@ -244,7 +232,7 @@ class Endpoint:
         and the ack, so a readable connection's whole next message can be
         read in place.
         """
-        k, timeout, summary = self.cfg.expected_producers, self.cfg.step_timeout, self.summary
+        k, timeout, summary = self.expected_producers, STEP_TIMEOUT, self.summary
         sel = selectors.DefaultSelector()
         sel.register(self._listener, selectors.EVENT_READ)
         registered: set[int] = set()
@@ -305,7 +293,7 @@ class Endpoint:
 
         def greet(conn: socket.socket, reader: FrameReader):
             try:
-                hello = reader.recv_message(timeout)
+                hello = reader.recv_message()
                 if not isinstance(hello, Hello):
                     raise ProtocolError(f"expected Hello, got {type(hello).__name__}")
                 pid = hello.producer_id
@@ -325,7 +313,7 @@ class Endpoint:
 
         def receive(pid: int, reader: FrameReader):
             try:
-                msg = reader.recv_message(timeout)
+                msg = reader.recv_message()
                 if pid in pending:
                     raise ProtocolError(f"{type(msg).__name__} before the ack of step "
                                         f"{pending[pid][0].step}")
@@ -336,7 +324,7 @@ class Endpoint:
                     raise ProtocolError(f"expected StepHeader or Bye, got {type(msg).__name__}")
                 blocks = []
                 for _ in range(msg.block_count):
-                    payload = reader.recv_message(timeout)
+                    payload = reader.recv_message()
                     if not isinstance(payload, BlockPayload):
                         raise ProtocolError(f"expected BlockPayload, got {type(payload).__name__}")
                     blocks.append(payload.block)

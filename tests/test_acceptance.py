@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from nekmini import reporting
+from nekmini import reporting, transport
 from nekmini.bridge import parse_config
 from nekmini.data_model import POINT, Block, FieldArray, Snapshot
 from nekmini.harness import RunConfig, run_insitu, weak_scaling
@@ -28,7 +28,7 @@ from nekmini.solver import (
     nusselt,
     step,
 )
-from nekmini.transport import Endpoint, EndpointConfig, ProducerConfig, ProducerConnection
+from nekmini.transport import Endpoint, ProducerConnection
 
 STEPS = 3000
 FREQUENCY = 100
@@ -254,9 +254,6 @@ class _CaptureBridge:
             time.sleep(self.delay)
         self.snapshots.append(s)
 
-    def finalize(self):
-        return []
-
 
 def _random_producer_snapshot(rng, pid, step_no, ni=6, nj=5):
     o = pid * ni
@@ -269,19 +266,20 @@ def _random_producer_snapshot(rng, pid, step_no, ni=6, nj=5):
     return Snapshot(time=0.5 * step_no, step=step_no, producer_id=pid, blocks=(blk,))
 
 
-def test_criterion_3_in_transit_fidelity():
+def test_criterion_3_in_transit_fidelity(monkeypatch):
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 30.0)
     rng = np.random.default_rng(2024)
     ni, nj = 6, 5
     checked = 0
     for k in (1, 4):
         bridge = _CaptureBridge()
-        ep = Endpoint(EndpointConfig("127.0.0.1:0", expected_producers=k, step_timeout=30.0), bridge)
+        ep = Endpoint("127.0.0.1:0", k, bridge)
         serve = threading.Thread(target=ep.serve, daemon=True)
         serve.start()
         sent = {pid: [] for pid in range(k)}
 
         def run_producer_thread(pid, snaps):
-            conn = ProducerConnection(ProducerConfig(ep.address, pid))
+            conn = ProducerConnection(ep.address, pid)
             for s in snaps:
                 conn.send_step(s)
             conn.close()
@@ -354,13 +352,14 @@ def test_criterion_4_weak_scaling(tmp_path):
     )
 
 
-def test_criterion_5_backpressure():
+def test_criterion_5_backpressure(monkeypatch):
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 30.0)
     bridge = _CaptureBridge(delay=0.050)
-    ep = Endpoint(EndpointConfig("127.0.0.1:0", expected_producers=1, step_timeout=30.0), bridge)
+    ep = Endpoint("127.0.0.1:0", 1, bridge)
     serve = threading.Thread(target=ep.serve, daemon=True)
     serve.start()
     rng = np.random.default_rng(7)
-    conn = ProducerConnection(ProducerConfig(ep.address, 0))
+    conn = ProducerConnection(ep.address, 0)
     elapsed = []
     for step_no in range(0, 500, 100):
         s = _random_producer_snapshot(rng, 0, step_no)

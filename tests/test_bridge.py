@@ -125,9 +125,6 @@ class _BoomSink:
         self.calls += 1
         raise IOError("disk on fire")
 
-    def finalize(self):
-        pass
-
 
 def test_sink_failure_isolated(tmp_path, caplog):
     cfg = parse_config(

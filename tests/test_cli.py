@@ -21,6 +21,14 @@ def test_run_defaults():
     assert args.config is None
 
 
+def test_producer_requires_endpoint(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["producer", "--out", "x"])
+    assert "--endpoint" in capsys.readouterr().err
+    args = build_parser().parse_args(["producer", "--out", "x", "--endpoint", "h:1"])
+    assert args.endpoint == "h:1"
+
+
 def test_weak_scale_producer_list():
     args = build_parser().parse_args(["weak-scale", "--out", "x", "--producers", "1,2,8"])
     assert [int(x) for x in args.producers.split(",")] == [1, 2, 8]

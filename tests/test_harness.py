@@ -5,11 +5,12 @@ import csv
 import subprocess
 import sys
 import threading
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from nekmini import harness, reporting
+from nekmini import cli, harness, reporting, transport
 from nekmini.harness import (
     RunConfig,
     _producer_step_times,
@@ -26,6 +27,45 @@ def small_solver(**kw):
     defaults = dict(nx=16, ny=16, rayleigh=1e4, prandtl=0.7, seed=0)
     defaults.update(kw)
     return SolverParams(**defaults)
+
+
+class FakeProcess:
+    """A Popen stand-in: the endpoint publishes an address and never exits,
+    every producer exits with 1."""
+
+    def __init__(self, cmd):
+        self.cmd = cmd
+        self.role = cmd[3]  # python -m nekmini <role> ...
+        self.returncode = None
+        self.killed = False
+        if self.role == "endpoint":
+            Path(cmd[cmd.index("--port-file") + 1]).write_text("127.0.0.1:9")
+
+    def poll(self):
+        return self.returncode
+
+    def wait(self, timeout=None):
+        if self.role == "endpoint":
+            raise subprocess.TimeoutExpired("endpoint", timeout)
+        self.returncode = 1
+        return 1
+
+    def kill(self):
+        self.killed = True
+        self.returncode = -9
+
+
+@pytest.fixture
+def fake_popen(monkeypatch):
+    """The orchestrator's processes, in launch order, none of them real."""
+    launched = []
+
+    def popen(cmd):
+        launched.append(FakeProcess(cmd))
+        return launched[-1]
+
+    monkeypatch.setattr(harness.subprocess, "Popen", popen)
+    return launched
 
 
 def insitu_config(tmp_path, steps=5, config=None, label="run"):
@@ -158,13 +198,13 @@ class TestInsitu:
 
 
 class TestIntransitRoles:
-    def test_producer_requires_address(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("NEKMINI_ENDPOINT", raising=False)
+    def test_producer_requires_address(self, tmp_path):
         cfg = RunConfig(small_solver(), 2, None, tmp_path / "p", "x")
         with pytest.raises(ValueError, match="endpoint address"):
             run_producer(cfg)
 
-    def test_endpoint_plus_producer_in_threads(self, tmp_path):
+    def test_endpoint_plus_producer_in_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(transport, "STEP_TIMEOUT", 30.0)
         stats = tmp_path / "stats.csv"
         cfg_path = write_config(tmp_path, f'<analysis type="stats" frequency="1" path="{stats}"/>')
         port_file = tmp_path / "addr"
@@ -172,7 +212,7 @@ class TestIntransitRoles:
 
         def serve():
             result["out"] = run_endpoint(tmp_path / "ep", cfg_path, "t", 1, "127.0.0.1:0",
-                                         port_file, step_timeout=30.0)
+                                         port_file)
 
         t = threading.Thread(target=serve, daemon=True)
         t.start()
@@ -265,32 +305,27 @@ class TestOrchestration:
         assert times[1] == 1e-6
 
     def test_run_intransit_names_failed_producer_when_endpoint_hangs(self, tmp_path,
-                                                                   monkeypatch):
-        killed = []
-
-        class FakeProcess:
-            def __init__(self, cmd):
-                self.role = cmd[3]  # python -m nekmini <role> ...
-                self.returncode = None
-                if self.role == "endpoint":
-                    Path(cmd[cmd.index("--port-file") + 1]).write_text("127.0.0.1:9")
-
-            def poll(self):
-                return self.returncode
-
-            def wait(self, timeout=None):
-                if self.role == "endpoint":
-                    raise subprocess.TimeoutExpired("endpoint", timeout)
-                self.returncode = 1
-                return 1
-
-            def kill(self):
-                killed.append(self.role)
-                self.returncode = -9
-
-        monkeypatch.setattr(harness.subprocess, "Popen", FakeProcess)
+                                                                   fake_popen):
         cfg = RunConfig(small_solver(), 2, None, tmp_path / "out", "x", producers=1, frequency=1)
         with pytest.raises(RuntimeError) as e:
             run_intransit(cfg)
         assert str(e.value) == "producer 0 exited with 1; endpoint did not exit within 120 s"
-        assert killed == ["endpoint"]
+        assert [p.role for p in fake_popen if p.killed] == ["endpoint"]
+
+    def test_every_solver_setting_reaches_every_producer(self, tmp_path, fake_popen):
+        # every field away from its default, so a field the orchestrator
+        # drops (or a new field it does not forward) shows as a difference
+        changed = {f.name: 1e-6 if f.default is None else
+                   f.default * 2 if isinstance(f.default, float) else f.default + 3
+                   for f in fields(SolverParams)}
+        solver = SolverParams(**changed)
+        assert all(getattr(solver, f.name) != f.default for f in fields(SolverParams))
+        cfg = RunConfig(solver, 2, None, tmp_path / "out", "x", producers=3, frequency=1)
+        with pytest.raises(RuntimeError):
+            run_intransit(cfg)
+        producers = [p.cmd for p in fake_popen if p.role == "producer"]
+        assert len(producers) == 3
+        for pid, cmd in enumerate(producers):
+            args = cli.build_parser().parse_args(cmd[3:])
+            assert (args.id, args.endpoint) == (pid, "127.0.0.1:9")
+            assert cli._solver_params(args) == replace(solver, seed=solver.seed + pid)

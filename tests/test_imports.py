@@ -1,5 +1,6 @@
-"""Every imported name in the package and its tests is used, and every
-top-level function and class of the package is used by the program."""
+"""Every imported name in the package and its tests is used, every
+top-level function and class of the package is used by the program, and
+no package module reads the environment."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,30 @@ def test_every_package_definition_is_used_by_the_program():
                                                - referenced - TEST_ORACLES)
               for p in PACKAGE}
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Every read of os.environ or os.getenv, however it was imported."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(f"line {node.lineno}: os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"line {node.lineno}: from os import {a.name}"
+                      for a in node.names if a.name in names]
+    return found
+
+
+def test_finds_an_environment_read():
+    src = "import os\nfrom os import getenv\na = os.environ['X']\nb = os.getenv('Y')\n"
+    assert environment_reads(src) == [
+        "line 2: from os import getenv", "line 3: os.environ", "line 4: os.getenv"]
+    assert environment_reads("import os\nos.path.join('a')\n") == []
+
+
+def test_no_package_module_reads_the_environment():
+    # every setting reaches a role through its CLI flags or is a constant
+    found = {str(p.relative_to(ROOT)): environment_reads(p.read_text()) for p in PACKAGE}
+    assert {path: reads for path, reads in found.items() if reads} == {}

@@ -154,6 +154,23 @@ class TestReport:
             assert {key: v[2] for key, v in agg.items()} == {
                 ("b", "endpoint:x"): 700, ("b", "producer_0:x"): 40}
 
+    def test_chart_plots_per_step_rows_only(self, tmp_path):
+        # a step -1 row carries a run total (here 5 renders summed); the
+        # chart of per-step means leaves it out, summary.csv keeps it
+        write_timings(tmp_path / "timings.csv", sample_timings() + [
+            TimingRecord("run", -1, "sink:render", 0.05)])
+        summary_path, chart_path = reporting.report(tmp_path, tmp_path / "out")
+        assert read_summary(summary_path)[("run", "sink:render")][0] == pytest.approx(0.05)
+        chart = chart_path.read_text()
+        assert "run/sink:render" not in chart
+        assert chart == bar_chart_svg(aggregate(sample_timings()), "mean seconds per step phase")
+
+    def test_report_over_totals_only_writes_no_chart(self, tmp_path):
+        write_timings(tmp_path / "timings.csv", [TimingRecord("b", -1, "sink:stats", 0.5)])
+        summary_path, chart_path = reporting.report(tmp_path, tmp_path)
+        assert chart_path is None and not (tmp_path / "chart.svg").exists()
+        assert read_summary(summary_path)[("b", "sink:stats")][0] == 0.5
+
     def test_report_with_no_timings_raises(self, tmp_path):
         with pytest.raises(ValueError, match="no data"):
             reporting.report(tmp_path, tmp_path)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nekmini.bridge import AnalysisSpec, Bridge, BridgeConfig
 from nekmini.data_model import CELL, POINT, Block, FieldArray, Snapshot
 from nekmini.sinks import (
     DEFAULT_COLORMAP,
@@ -317,12 +318,14 @@ class TestSinks:
         assert [p.name for p in (tmp_path / "im").glob("*.ppm")] == ["step000007_temperature.ppm"]
 
     def test_null_sink_counts_and_writes_nothing(self, tmp_path):
+        # the bridge's summary counts the invocations; the sink only consumes
         rng = np.random.default_rng(0)
-        s = random_snapshot(rng)
-        sink = NullSink({})
-        assert sink.consume(s) == 0
-        assert sink.consume(s) == 0
-        assert sink.count == 2
+        br = Bridge(BridgeConfig((AnalysisSpec("null", 1),)))
+        assert isinstance(br.sinks[0], NullSink)
+        for step in (7, 8):
+            br.update(random_snapshot(rng, step=step))
+        (summary,) = br.finalize()
+        assert (summary.invocations, summary.bytes_written, summary.failures) == (2, 0, 0)
         assert list(tmp_path.iterdir()) == []
 
     def test_stats_sink_rows_match_numpy(self, tmp_path):
@@ -331,7 +334,6 @@ class TestSinks:
         path = tmp_path / "stats.csv"
         sink = StatsSink({"path": str(path)})
         sink.consume(s)
-        sink.finalize()
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "step,time,field,min,max,mean"
         assert len(lines) == 4  # three fields, one row each

@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
+from nekmini import solver
 from nekmini.data_model import validate_snapshot
 from nekmini.solver import (
+    PROJECTION_TOLERANCE,
+    ProjectionError,
     SolverParams,
     StabilityError,
     init_state,
@@ -55,7 +60,7 @@ def test_divergence_invariant_every_step():
     s = init_state(p)
     for _ in range(100):
         s = step(s, p)
-        assert max_divergence(s) <= p.projection_tolerance
+        assert max_divergence(s) <= PROJECTION_TOLERANCE
 
 
 def test_temperature_respects_maximum_principle():
@@ -76,9 +81,9 @@ def test_conduction_equilibrium_is_fixed_point():
     s = s0
     for _ in range(100):
         s = step(s, p)
-    assert np.abs(s.u).max() <= p.projection_tolerance
-    assert np.abs(s.v).max() <= p.projection_tolerance
-    assert np.abs(s.temperature - s0.temperature).max() <= p.projection_tolerance
+    assert np.abs(s.u).max() <= PROJECTION_TOLERANCE
+    assert np.abs(s.v).max() <= PROJECTION_TOLERANCE
+    assert np.abs(s.temperature - s0.temperature).max() <= PROJECTION_TOLERANCE
 
 
 def test_boundary_rows_exact_after_steps():
@@ -109,6 +114,29 @@ def test_diffusive_limit_violation_raises():
     with pytest.raises(StabilityError, match="diffusive"):
         p = small_params(dt=1.0)
         step(init_state(p), p)
+
+
+def test_projection_cap_raises_naming_tolerance_and_iterations(monkeypatch):
+    # with no projection allowed, the buoyant first step keeps its divergence
+    monkeypatch.setattr(solver, "PROJECTION_MAX_ITERS", 0)
+    p = small_params(rayleigh=1e5)
+    with pytest.raises(ProjectionError) as e:
+        step(init_state(p), p)
+    m = re.fullmatch(r"divergence (\S+) above tolerance 1\.000e-08 after 0 projection iterations",
+                     str(e.value))
+    assert m is not None, str(e.value)
+    assert float(m.group(1)) > PROJECTION_TOLERANCE
+
+
+def test_projection_that_reaches_tolerance_on_the_last_iteration_passes(monkeypatch):
+    # one Poisson solve brings the divergence to ~1e-13; a cap of one
+    # iteration must check that result, not raise on it
+    monkeypatch.setattr(solver, "PROJECTION_MAX_ITERS", 1)
+    p = small_params(rayleigh=1e5)
+    s = init_state(p)
+    for _ in range(20):
+        s = step(s, p)
+    assert max_divergence(s) <= PROJECTION_TOLERANCE
 
 
 def test_nusselt_conduction_state_is_exactly_one():

@@ -2,7 +2,9 @@
 
 Each test launches an in-process Endpoint on a loopback ephemeral port,
 runs its serve() loop in a thread, and drives real ProducerConnection
-clients against it.
+clients against it. Timeouts, retry counts and backoffs are module
+constants of the transport; a test that needs other values monkeypatches
+them.
 """
 
 import gc
@@ -23,9 +25,7 @@ from nekmini.transport import (
     AckTimeout,
     ConnectionLost,
     Endpoint,
-    EndpointConfig,
     FrameReader,
-    ProducerConfig,
     ProducerConnection,
     ProtocolError,
     TransportError,
@@ -62,8 +62,13 @@ class RecordingBridge:
             raise RuntimeError("injected bridge failure")
         self.snapshots.append(s)
 
-    def finalize(self):
-        return []
+
+@pytest.fixture(autouse=True)
+def quick_transport(monkeypatch):
+    """Fail within seconds, not minutes, and retry a missing endpoint fast."""
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 10.0)
+    monkeypatch.setattr(transport, "CONNECT_RETRIES", 3)
+    monkeypatch.setattr(transport, "RETRY_BACKOFF", 0.05)
 
 
 def producer_block(pid, ni=4, nj=3, step=0, seed=None):
@@ -82,18 +87,16 @@ def producer_snapshot(pid, step, **kw):
                     blocks=(producer_block(pid, step=step, **kw),))
 
 
-def start_endpoint(k, bridge=None, step_timeout=10.0):
+def start_endpoint(k, bridge=None):
     bridge = bridge if bridge is not None else RecordingBridge()
-    ep = Endpoint(EndpointConfig("127.0.0.1:0", expected_producers=k,
-                                 step_timeout=step_timeout), bridge)
+    ep = Endpoint("127.0.0.1:0", k, bridge)
     t = threading.Thread(target=ep.serve, daemon=True)
     t.start()
     return ep, bridge, t
 
 
-def connect(ep, pid, **kw):
-    return ProducerConnection(ProducerConfig(ep.address, pid, connect_retries=3,
-                                             retry_backoff=0.05, **kw))
+def connect(ep, pid):
+    return ProducerConnection(ep.address, pid)
 
 
 def test_parse_address():
@@ -201,8 +204,9 @@ def test_ack_is_synchronous_backpressure():
     assert elapsed >= 0.2
 
 
-def test_disconnect_mid_round_discards_step_and_error_acks_peer():
-    ep, bridge, t = start_endpoint(k=2, step_timeout=5.0)
+def test_disconnect_mid_round_discards_step_and_error_acks_peer(monkeypatch):
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 5.0)
+    ep, bridge, t = start_endpoint(k=2)
     a = connect(ep, 0)
     b = connect(ep, 1)
 
@@ -230,8 +234,9 @@ def test_disconnect_mid_round_discards_step_and_error_acks_peer():
     assert any("discarded" in e or "producer 1" in e for e in ep.summary.errors)
 
 
-def test_step_mismatch_is_fatal():
-    ep, bridge, t = start_endpoint(k=2, step_timeout=5.0)
+def test_step_mismatch_is_fatal(monkeypatch):
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 5.0)
+    ep, bridge, t = start_endpoint(k=2)
     a = connect(ep, 0)
     b = connect(ep, 1)
     results = {}
@@ -273,15 +278,14 @@ def test_blocks_that_do_not_tile_error_ack_the_step(tmp_path):
     # columns 4..11, so the step is error-acked, not stored as columns 0..7
     port_file = tmp_path / "addr"
     t = threading.Thread(target=run_endpoint, args=(tmp_path / "ep", None, "t", 2),
-                         kwargs=dict(port_file=port_file, step_timeout=10.0), daemon=True)
+                         kwargs=dict(port_file=port_file), daemon=True)
     t.start()
     deadline = time.monotonic() + 10
     while not port_file.exists():
         assert time.monotonic() < deadline
         time.sleep(0.02)
     address = port_file.read_text()
-    conns = [ProducerConnection(ProducerConfig(address, pid, connect_retries=3,
-                                               retry_backoff=0.05)) for pid in (0, 3)]
+    conns = [ProducerConnection(address, pid) for pid in (0, 3)]
     results = {}
 
     def send(conn, pid):
@@ -306,24 +310,29 @@ def test_blocks_that_do_not_tile_error_ack_the_step(tmp_path):
             "(0, 3, 0, 2, 0, 0) are followed by (12, 15, 0, 2, 0, 0)") in lines
 
 
-def test_endpoint_exits_when_no_producer_connects():
-    ep, _, t = start_endpoint(k=2, step_timeout=0.5)
+def test_endpoint_exits_when_no_producer_connects(monkeypatch):
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 0.5)
+    ep, _, t = start_endpoint(k=2)
     t.join(timeout=5)
     assert not t.is_alive()
     assert ep.summary.errors == ["no producer connected within 0.5s"]
     assert ep.summary.steps_completed == 0
 
 
-def test_silent_connection_does_not_stall_registered_producer():
+def test_silent_connection_does_not_stall_registered_producer(monkeypatch):
     # a client that connects and never says Hello holds a socket open at
-    # the endpoint; the one registered producer's steps still complete
-    # well within the endpoint's timeout, and serve() ends at its Bye
-    ep, bridge, t = start_endpoint(k=1, step_timeout=30.0)
+    # the endpoint; the one registered producer's handshake and steps
+    # still complete within 2 s, well within the 30 s timeout, and
+    # serve() ends at its Bye
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 30.0)
+    ep, bridge, t = start_endpoint(k=1)
     silent = socket.create_connection(parse_address(ep.address))
     try:
-        conn = connect(ep, 0, step_timeout=2.0)
+        t0 = time.monotonic()
+        conn = connect(ep, 0)
         for step in (0, 100, 200):
             assert conn.send_step(producer_snapshot(0, step)) == step
+        assert time.monotonic() - t0 < 2.0
         conn.close()
         t.join(timeout=10)
         assert not t.is_alive()
@@ -334,8 +343,9 @@ def test_silent_connection_does_not_stall_registered_producer():
     assert ep.summary.errors == []
 
 
-def test_producer_ack_timeout():
+def test_producer_ack_timeout(monkeypatch):
     # a bare listener that accepts the hello but never acks a step
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 0.5)
     srv = socket.create_server(("127.0.0.1", 0))
     host, port = srv.getsockname()[:2]
 
@@ -348,14 +358,14 @@ def test_producer_ack_timeout():
 
     th = threading.Thread(target=stub, daemon=True)
     th.start()
-    conn = ProducerConnection(ProducerConfig(f"{host}:{port}", 0, step_timeout=0.5))
+    conn = ProducerConnection(f"{host}:{port}", 0)
     with pytest.raises(AckTimeout):
         conn.send_step(producer_snapshot(0, 0))
     conn.close()
     srv.close()
 
 
-def test_producer_retries_until_endpoint_appears():
+def test_producer_retries_until_endpoint_appears(monkeypatch):
     # reserve a port, start the endpoint only after the first connect attempts
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
@@ -366,15 +376,15 @@ def test_producer_retries_until_endpoint_appears():
 
     def late_start():
         time.sleep(0.4)
-        ep = Endpoint(EndpointConfig(f"127.0.0.1:{port}", expected_producers=1,
-                                     step_timeout=10.0), RecordingBridge())
+        ep = Endpoint(f"127.0.0.1:{port}", 1, RecordingBridge())
         holder["ep"] = ep
         ep.serve()
 
     th = threading.Thread(target=late_start, daemon=True)
     th.start()
-    conn = ProducerConnection(ProducerConfig(f"127.0.0.1:{port}", 0,
-                                             connect_retries=20, retry_backoff=0.1))
+    monkeypatch.setattr(transport, "CONNECT_RETRIES", 20)
+    monkeypatch.setattr(transport, "RETRY_BACKOFF", 0.1)
+    conn = ProducerConnection(f"127.0.0.1:{port}", 0)
     assert conn.send_step(producer_snapshot(0, 0)) == 0
     conn.close()
     th.join(timeout=10)
@@ -382,10 +392,11 @@ def test_producer_retries_until_endpoint_appears():
     assert holder["ep"].summary.steps_completed == 1
 
 
-def test_unreachable_endpoint_raises_transport_error():
+def test_unreachable_endpoint_raises_transport_error(monkeypatch):
+    monkeypatch.setattr(transport, "CONNECT_RETRIES", 1)
+    monkeypatch.setattr(transport, "RETRY_BACKOFF", 0.01)
     with pytest.raises(TransportError, match="cannot reach"):
-        ProducerConnection(ProducerConfig("127.0.0.1:1", 0, connect_retries=1,
-                                          retry_backoff=0.01))
+        ProducerConnection("127.0.0.1:1", 0)
 
 
 def test_fidelity_bit_exact_through_transport():
@@ -423,14 +434,15 @@ def test_rejected_producer_closes_its_socket(k, pids):
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-def test_malformed_step_header_drops_only_that_producer():
+def test_malformed_step_header_drops_only_that_producer(monkeypatch):
     # a StepHeader with a 19-byte payload fails producer 0; the endpoint
     # keeps serving, error-acks producer 1 and ends when it leaves
-    ep, bridge, t = start_endpoint(k=2, step_timeout=5.0)
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 5.0)
+    ep, bridge, t = start_endpoint(k=2)
     bad = socket.create_connection(parse_address(ep.address))
     try:
         bad.sendall(encode_message(Hello(0)))
-        assert FrameReader(bad).recv_message(5.0) == HelloAck(True)
+        assert FrameReader(bad).recv_message() == HelloAck(True)
         good = connect(ep, 1)
         bad.sendall(HEADER.pack(MAGIC, VERSION, TAG_STEP_HEADER, 19) + bytes(19))
         with pytest.raises(ProtocolError, match="abandoned"):
@@ -502,9 +514,11 @@ def test_reader_decodes_valid_streams_under_any_chunking(msgs, chunks):
     sock, th = stream_of(data, chunks)
     reader = FrameReader(sock)
     try:
-        got = [reader.recv_message(timeout=5.0) for _ in msgs]
-        with pytest.raises(ConnectionLost):
-            reader.recv_message(timeout=5.0)
+        with pytest.MonkeyPatch.context() as mp:  # per example: 5 s per read
+            mp.setattr(transport, "STEP_TIMEOUT", 5.0)
+            got = [reader.recv_message() for _ in msgs]
+            with pytest.raises(ConnectionLost):
+                reader.recv_message()
     finally:
         sock.close()
         th.join(timeout=5)
@@ -533,9 +547,11 @@ def test_reader_rejects_garbage_without_hanging(prefix, junk, chunks):
     sock, th = stream_of(data, chunks)
     reader = FrameReader(sock)
     try:
-        with pytest.raises((ProtocolError, ConnectionLost)):
-            for _ in range(len(data) // HEADER.size + 1):
-                reader.recv_message(timeout=5.0)
+        with pytest.MonkeyPatch.context() as mp:  # per example: 5 s per read
+            mp.setattr(transport, "STEP_TIMEOUT", 5.0)
+            with pytest.raises((ProtocolError, ConnectionLost)):
+                for _ in range(len(data) // HEADER.size + 1):
+                    reader.recv_message()
     finally:
         sock.close()
         th.join(timeout=5)
@@ -557,10 +573,11 @@ def test_reader_scans_each_frame_byte_once(monkeypatch):
         return real(buf, *args, **kwargs)
 
     monkeypatch.setattr(transport, "decode_message", counting)
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 30.0)
     frame = bytes(encode_message(BlockPayload(block)))
     sock, th = stream_of(frame, [1 << 16])
     try:
-        msg = FrameReader(sock).recv_message(timeout=30.0)
+        msg = FrameReader(sock).recv_message()
     finally:
         sock.close()
         th.join(timeout=10)
