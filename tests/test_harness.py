@@ -235,6 +235,9 @@ class TestIntransitRoles:
         transport_steps = sorted(r.step for r in recs if r.phase == "transport")
         assert transport_steps == [0, 2, 4]
         assert sorted(r.step for r in recs if r.phase == "solve") == [1, 2, 3, 4]
+        # and one run-total row: the wait for the last step's ack
+        assert [r.step for r in recs if r.phase == "ack_drain"] == [-1]
+        assert {r.phase for r in recs} == {"solve", "snapshot_copy", "transport", "ack_drain"}
 
         # endpoint ran the stats sink once per delivered step
         lines = stats.read_text().strip().split("\n")
@@ -247,6 +250,55 @@ class TestIntransitRoles:
         p_summary = reporting.read_summary(p_out / "summary.csv")
         e_summary = reporting.read_summary(result["out"] / "summary.csv")
         assert p_summary[("t", "transport")][2] == e_summary[("t", "endpoint:received")][2]
+
+    def test_abandoned_last_step_fails_the_producer(self, tmp_path, monkeypatch):
+        # the producer ships steps 0, 2 and 4; the endpoint's analysis
+        # fails on step 4, whose error ack arrives only at the drain
+        monkeypatch.setattr(transport, "STEP_TIMEOUT", 30.0)
+
+        class FailOn4:
+            def update(self, s):
+                if s.step == 4:
+                    raise RuntimeError("injected analysis failure")
+
+        ep = transport.Endpoint("127.0.0.1:0", 1, FailOn4())
+        t = threading.Thread(target=ep.serve, daemon=True)
+        t.start()
+        cfg = RunConfig(small_solver(), 4, None, tmp_path / "p0", "t", frequency=2,
+                        endpoint_address=ep.address, producer_id=0)
+        with pytest.raises(transport.ProtocolError, match=r"^endpoint abandoned step 4$"):
+            run_producer(cfg)
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert (ep.summary.steps_completed, ep.summary.incomplete_steps) == (2, 1)
+        assert ep.summary.errors[0] == "step 4: RuntimeError: injected analysis failure"
+
+    def test_start_up_rendezvous_stays_in_step_0(self, tmp_path, monkeypatch):
+        # producer 1 starts 0.5 s after producer 0; producer 0 waits for
+        # it in step 0's transport, not in a later step's
+        monkeypatch.setattr(transport, "STEP_TIMEOUT", 30.0)
+
+        class NoSinks:
+            def update(self, s):
+                pass
+
+        ep = transport.Endpoint("127.0.0.1:0", 2, NoSinks())
+        serve = threading.Thread(target=ep.serve, daemon=True)
+        serve.start()
+        cfgs = [RunConfig(small_solver(seed=pid), 4, None, tmp_path / f"p{pid}", "t",
+                          frequency=2, endpoint_address=ep.address, producer_id=pid)
+                for pid in range(2)]
+        late = threading.Timer(0.5, run_producer, args=(cfgs[1],))
+        late.start()
+        run_producer(cfgs[0])
+        late.join(timeout=30)
+        serve.join(timeout=30)
+        assert not late.is_alive() and not serve.is_alive()
+        assert ep.summary.steps_completed == 3
+        recs = reporting.read_timings(tmp_path / "p0" / "timings.csv")
+        shipped = {r.step: r.seconds for r in recs if r.phase == "transport"}
+        assert shipped[0] >= 0.4
+        assert max(shipped[2], shipped[4]) < 0.2
 
 
 class TestOrchestration:

@@ -1,5 +1,7 @@
 """Tests for checkpoint I/O, rendering, and the sink classes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +42,7 @@ def random_snapshot(rng, ni=5, nj=4, step=7, producer=2):
 
 def ascii_vtk_line_by_line(block, step, producer, time):
     """An ascii checkpoint built one 9-value line at a time: the reference
-    for the writer, which builds each field with one join."""
+    for the writer, which formats each field with one %."""
     ni, nj, nk = block.dims
     out = (
         "# vtk DataFile Version 3.0\n"
@@ -64,6 +66,18 @@ def ascii_vtk_line_by_line(block, step, producer, time):
                 out += " ".join(vals[i:i + 9]).encode("ascii") + b"\n"
             out += b"\n"
     return out
+
+
+def awkward_values(rng, like):
+    """`like` with about two fifths of its values set to +-0.0 and two
+    fifths scaled to magnitudes near 1e+300 or 1e-300."""
+    vals = np.array(like)
+    pick = rng.integers(0, 5, vals.size)
+    vals[pick == 0] = 0.0
+    vals[pick == 1] = -0.0
+    vals[pick == 2] *= 1e300
+    vals[pick == 3] *= 1e-300
+    return vals
 
 
 def assert_snapshots_equal(a, b):
@@ -118,11 +132,18 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(back.blocks[0].fields[0].values, vals)
         assert back.time == 1.0 / 7.0
 
-    @pytest.mark.parametrize("n", [5, 16, 64])
-    def test_ascii_bytes_match_line_by_line_writer(self, tmp_path, n):
-        # 5x4 gives 20, 40 and 12 values, none a multiple of 9 per line
+    @pytest.mark.parametrize("n, awkward", [
+        pytest.param(n, awkward, id=f"{n}-awkward" if awkward else str(n))
+        for awkward in (False, True) for n in (5, 16, 64)])
+    def test_ascii_bytes_match_line_by_line_writer(self, tmp_path, n, awkward):
+        # 5x4 gives 20, 40 and 12 values, none a multiple of 9 per line;
+        # 16x16 gives 256, 512 and 225; the awkward values mix +-0.0 and
+        # magnitudes near 1e+-300 into the normal ones
         rng = np.random.default_rng(n)
         s = random_snapshot(rng, ni=n, nj=4 if n == 5 else n)
+        if awkward:
+            s = replace(s, blocks=(replace(s.blocks[0], fields=tuple(
+                replace(f, values=awkward_values(rng, f.values)) for f in s.blocks[0].fields)),))
         path, total = checkpoint_write(s, tmp_path, "ascii")
         expected = ascii_vtk_line_by_line(s.blocks[0], s.step, s.producer_id, s.time)
         assert path.read_bytes() == expected

@@ -48,10 +48,12 @@ from nekmini.wire import (
 
 
 class RecordingBridge:
-    """Captures every snapshot the endpoint delivers."""
+    """Captures every snapshot the endpoint delivers, and when each
+    update returned, on the monotonic clock."""
 
     def __init__(self, delay=0.0, fail_on_step=None):
         self.snapshots = []
+        self.done = {}
         self.delay = delay
         self.fail_on_step = fail_on_step
 
@@ -61,6 +63,7 @@ class RecordingBridge:
         if self.fail_on_step is not None and s.step == self.fail_on_step:
             raise RuntimeError("injected bridge failure")
         self.snapshots.append(s)
+        self.done[s.step] = time.monotonic()
 
 
 @pytest.fixture(autouse=True)
@@ -166,7 +169,7 @@ def test_duplicate_producer_id_rejected():
     with pytest.raises(TransportError, match="rejected"):
         connect(ep, 0)
     b = connect(ep, 1)
-    # each send blocks until its ack, so the two steps go in parallel
+    # each send returns before its ack; the closes read the acks
     th = threading.Thread(target=lambda: a.send_step(producer_snapshot(0, 0)))
     th.start()
     b.send_step(producer_snapshot(1, 0))
@@ -191,17 +194,75 @@ def test_extra_producer_beyond_k_rejected():
 
 
 def test_ack_is_synchronous_backpressure():
-    # a bridge that takes 0.2 s per update delays the producer's ack by
-    # at least that long: the producer cannot run ahead of the endpoint
+    # a bridge that takes 0.2 s per update delays each ack by at least
+    # that long: the producer cannot ship the next step, nor drain, until
+    # the endpoint has analysed the one before
     ep, _, t = start_endpoint(k=1, bridge=RecordingBridge(delay=0.2))
     conn = connect(ep, 0)
     t0 = time.monotonic()
     conn.send_step(producer_snapshot(0, 0))
-    elapsed = time.monotonic() - t0
+    conn.send_step(producer_snapshot(0, 100))
+    shipped = time.monotonic() - t0
+    conn.drain()
+    drained = time.monotonic() - t0
     conn.close()
     t.join(timeout=10)
     assert not t.is_alive()
-    assert elapsed >= 0.2
+    assert shipped >= 0.2
+    assert drained >= 0.4
+
+
+def test_send_never_returns_before_the_previous_step_is_analysed():
+    # two producers ship steps 0..5; each send_step(k + 1), and each
+    # drain after step 5, returns only after bridge.update(k) returned
+    ep, bridge, t = start_endpoint(k=2, bridge=RecordingBridge(delay=0.02))
+    returned = {}
+    errs = []
+
+    def run(pid):
+        try:
+            conn = connect(ep, pid)
+            stamps = returned[pid] = []
+            for step in range(6):
+                conn.send_step(producer_snapshot(pid, step))
+                stamps.append(time.monotonic())
+            conn.drain()
+            stamps.append(time.monotonic())
+            conn.close()
+        except Exception as e:  # surface in the main thread
+            errs.append((pid, e))
+
+    threads = [threading.Thread(target=run, args=(pid,)) for pid in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=15)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert errs == []
+    assert sorted(bridge.done) == list(range(6))
+    for pid in range(2):
+        # stamps[k + 1] ends send_step(k + 1), or the drain for k = 5
+        assert all(returned[pid][k + 1] > bridge.done[k] for k in range(6))
+
+
+def test_solver_time_hides_the_endpoint_analysis():
+    # the endpoint takes 50 ms per step and the producer computes 60 ms
+    # between sends: each ack is in before the next send, so sending
+    # costs little; in lock step every send would take at least 50 ms
+    ep, _, t = start_endpoint(k=1, bridge=RecordingBridge(delay=0.05))
+    conn = connect(ep, 0)
+    sends = []
+    for step in range(8):
+        t0 = time.monotonic()
+        conn.send_step(producer_snapshot(0, step))
+        sends.append(time.monotonic() - t0)
+        time.sleep(0.06)  # the solver steps between two shipped steps
+    conn.close()
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert ep.summary.steps_completed == 8
+    assert sorted(sends)[len(sends) // 2] < 0.010
 
 
 def test_disconnect_mid_round_discards_step_and_error_acks_peer(monkeypatch):
@@ -209,25 +270,14 @@ def test_disconnect_mid_round_discards_step_and_error_acks_peer(monkeypatch):
     ep, bridge, t = start_endpoint(k=2)
     a = connect(ep, 0)
     b = connect(ep, 1)
-
-    results = {}
-
-    def push_a():
-        try:
-            a.send_step(producer_snapshot(0, 0))
-            results["a"] = "acked"
-        except ProtocolError as e:
-            results["a"] = str(e)
-
-    th = threading.Thread(target=push_a)
-    th.start()
-    time.sleep(0.2)  # let a's step reach the coordinator
+    a.send_step(producer_snapshot(0, 0))  # returns before its ack
+    time.sleep(0.2)  # let a's step reach the endpoint
     b.sock.close()  # b vanishes without sending its step
-    th.join(timeout=10)
+    with pytest.raises(ProtocolError, match="abandoned step 0"):
+        a.drain()
     t.join(timeout=10)
     a.close()
     assert not t.is_alive()
-    assert "abandoned" in results["a"]
     assert bridge.snapshots == []
     assert ep.summary.steps_completed == 0
     assert ep.summary.incomplete_steps >= 1
@@ -244,6 +294,7 @@ def test_step_mismatch_is_fatal(monkeypatch):
     def push(name, conn, step):
         try:
             conn.send_step(producer_snapshot(0 if name == "a" else 1, step))
+            conn.drain()
             results[name] = "acked"
         except ProtocolError as e:
             results[name] = str(e)
@@ -264,13 +315,18 @@ def test_bridge_failure_error_acks_producers():
     ep, bridge, t = start_endpoint(k=1, bridge=RecordingBridge(fail_on_step=100))
     conn = connect(ep, 0)
     assert conn.send_step(producer_snapshot(0, 0)) == 0
-    with pytest.raises(ProtocolError, match="abandoned"):
-        conn.send_step(producer_snapshot(0, 100))
+    assert conn.send_step(producer_snapshot(0, 100)) == 100  # read step 0's ack
+    sent = conn.bytes_sent
+    # step 100's error ack surfaces at the next send, before any byte of it
+    with pytest.raises(ProtocolError, match="abandoned step 100"):
+        conn.send_step(producer_snapshot(0, 200))
+    assert conn.bytes_sent == sent
     t.join(timeout=10)
     conn.close()
     assert not t.is_alive()
     assert ep.summary.steps_completed == 1
     assert ep.summary.incomplete_steps == 1
+    assert ep.summary.bytes_received == sent
 
 
 def test_blocks_that_do_not_tile_error_ack_the_step(tmp_path):
@@ -288,17 +344,14 @@ def test_blocks_that_do_not_tile_error_ack_the_step(tmp_path):
     conns = [ProducerConnection(address, pid) for pid in (0, 3)]
     results = {}
 
-    def send(conn, pid):
+    for c, pid in zip(conns, (0, 3)):
+        c.send_step(producer_snapshot(pid, 0))  # returns before its ack
+    for c, pid in zip(conns, (0, 3)):
         try:
-            results[pid] = conn.send_step(producer_snapshot(pid, 0))
+            c.drain()
+            results[pid] = 0
         except ProtocolError as e:
             results[pid] = str(e)
-
-    threads = [threading.Thread(target=send, args=(c, pid)) for c, pid in zip(conns, (0, 3))]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=10)
     for c in conns:
         c.close()
     t.join(timeout=10)
@@ -359,8 +412,9 @@ def test_producer_ack_timeout(monkeypatch):
     th = threading.Thread(target=stub, daemon=True)
     th.start()
     conn = ProducerConnection(f"{host}:{port}", 0)
+    conn.send_step(producer_snapshot(0, 0))  # returns before its ack
     with pytest.raises(AckTimeout):
-        conn.send_step(producer_snapshot(0, 0))
+        conn.drain()
     conn.close()
     srv.close()
 
@@ -445,8 +499,9 @@ def test_malformed_step_header_drops_only_that_producer(monkeypatch):
         assert FrameReader(bad).recv_message() == HelloAck(True)
         good = connect(ep, 1)
         bad.sendall(HEADER.pack(MAGIC, VERSION, TAG_STEP_HEADER, 19) + bytes(19))
+        good.send_step(producer_snapshot(1, 0))  # returns before its ack
         with pytest.raises(ProtocolError, match="abandoned"):
-            good.send_step(producer_snapshot(1, 0))
+            good.drain()
         good.close()
         t.join(timeout=10)
         assert not t.is_alive()
