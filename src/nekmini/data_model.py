@@ -2,7 +2,7 @@
 
 This is the in-memory contract shared by the solver, the bridge, the
 staging transport, and the sinks.  A :class:`Block` is an axis-aligned
-structured-points grid carrying named point or cell arrays; a
+structured-points grid carrying named point arrays; a
 :class:`Snapshot` is one timestamped block. In transit, each producer
 sends its own block, and :func:`assemble_global` tiles a step's blocks
 into one before any analysis runs, so every snapshot the bridge and the
@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-POINT = "point"
-CELL = "cell"
+POINT = "point"  # the one association: every array holds one tuple per point
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,8 @@ class FieldArray:
     """A named array attached to a block.
 
     values is always a flat, C-contiguous, read-only float64 array of
-    length components * entity_count, where the entity count (points or
-    cells) is implied by the owning block's extents.
+    length components * point_count, where the point count is implied by
+    the owning block's extents. association is always POINT.
 
     A values array that is already read-only, 1-D, C-contiguous float64
     (a decoded wire field, a frozen assembly result) is adopted as it is;
@@ -43,7 +42,7 @@ class FieldArray:
     """
 
     name: str
-    association: str  # POINT or CELL
+    association: str  # POINT
     components: int
     values: np.ndarray
 
@@ -93,14 +92,6 @@ class Block:
         ni, nj, nk = self.dims
         return ni * nj * nk
 
-    @property
-    def cell_count(self) -> int:
-        # an axis with a single point plane is treated as flat (factor 1)
-        return int(np.prod([max(n - 1, 1) if n > 0 else 0 for n in self.dims]))
-
-    def entity_count(self, association: str) -> int:
-        return self.point_count if association == POINT else self.cell_count
-
     def field_named(self, name: str) -> FieldArray:
         for f in self.fields:
             if f.name == name:
@@ -148,13 +139,13 @@ def validate_snapshot(s: Snapshot) -> list[str]:
         if f.name in seen:
             violations.append(f"duplicate field name {f.name!r}")
         seen.add(f.name)
-        if f.association not in (POINT, CELL):
-            violations.append(f"field {f.name!r}: bad association")
+        if f.association != POINT:
+            violations.append(f"field {f.name!r}: association {f.association!r} is not point")
             continue
         if f.components < 1:
             violations.append(f"field {f.name!r}: components < 1")
             continue
-        expected = f.components * b.entity_count(f.association)
+        expected = f.components * b.point_count
         if f.values.size != expected:
             violations.append(
                 f"field {f.name!r}: field length mismatch "
@@ -174,7 +165,7 @@ def _grid(f: FieldArray, dims: tuple[int, int, int]) -> np.ndarray:
 
 
 def assemble_global(blocks: list[Block]) -> Block:
-    """Tile blocks along x into one global block.
+    """Tile one or more blocks along x into one global block.
 
     This is the one place where a step's blocks combine. Blocks must abut
     in the order given (each block's i_min is the previous block's
@@ -182,17 +173,15 @@ def assemble_global(blocks: list[Block]) -> Block:
     and field schema; anything else raises SchemaMismatch. Origin is taken
     from the first block.
     """
-    if not blocks:
-        raise ValueError("no blocks to assemble")
     if len(blocks) == 1:
         return blocks[0]
 
     first = blocks[0]
-    schema = tuple((f.name, f.association, f.components) for f in first.fields)
+    schema = tuple((f.name, f.components) for f in first.fields)
     for prev, b in zip(blocks, blocks[1:]):
         if b.spacing != first.spacing:
             raise SchemaMismatch("spacing differs across blocks")
-        if tuple((f.name, f.association, f.components) for f in b.fields) != schema:
+        if tuple((f.name, f.components) for f in b.fields) != schema:
             raise SchemaMismatch("field schema differs across blocks")
         if b.extents[2:] != first.extents[2:]:
             raise SchemaMismatch("y/z extents differ across blocks")
@@ -204,12 +193,10 @@ def assemble_global(blocks: list[Block]) -> Block:
     global_extents = (e[0], blocks[-1].extents[1], e[2], e[3], e[4], e[5])
 
     out_fields = []
-    for fi, (name, assoc, comps) in enumerate(schema):
-        if assoc == CELL:
-            raise SchemaMismatch("cell-centered tiling across blocks is unsupported")
+    for fi, (name, comps) in enumerate(schema):
         parts = [_grid(b.fields[fi], b.dims) for b in blocks]
         merged = np.concatenate(parts, axis=2)  # x is the fastest grid axis
         merged.setflags(write=False)  # so FieldArray adopts it without a copy
-        out_fields.append(FieldArray(name, assoc, comps, merged.ravel()))
+        out_fields.append(FieldArray(name, POINT, comps, merged.ravel()))
 
     return Block(first.origin, first.spacing, global_extents, tuple(out_fields))

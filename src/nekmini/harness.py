@@ -57,8 +57,9 @@ class RunConfig:
     producer_id: int = 0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if min(self.steps, self.frequency, self.producers) < 1:
+            raise ValueError(f"steps, frequency and producers must be >= 1, got "
+                             f"{self.steps}, {self.frequency} and {self.producers}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 

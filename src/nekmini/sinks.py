@@ -23,7 +23,8 @@ visualization tools). The exact layout::
 
 The title line carries step/producer/time/extents so a read reproduces
 the original snapshot exactly; 17 significant digits make the ascii mode
-round-trip float64 bit-exactly.
+round-trip float64 bit-exactly. Every array is point data. The reader
+accepts this layout only: it raises CheckpointFormatError on any other.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
-from nekmini.data_model import CELL, POINT, Block, FieldArray, Snapshot
+from nekmini.data_model import POINT, Block, FieldArray, Snapshot, validate_snapshot
 
 _VTK_HEADER = "# vtk DataFile Version 3.0"
-_ASSOC_CODE = {POINT: "POINT_DATA", CELL: "CELL_DATA"}
+_TITLE = re.compile(r"nekmini step=(\d+) producer=(\d+) time=(\S+) extents="
+                    + " ".join([r"(-?\d+)"] * 6))
 
 
 class CheckpointFormatError(ValueError):
@@ -66,10 +68,12 @@ def checkpoint_write(s: Snapshot, dir: str | Path, format: str = "binary") -> tu
     return path, len(data)
 
 
-def _encode_vtk(block: Block, step: int, producer: int, time: float, format: str) -> bytes:
+def _vtk_head(block: Block, step: int, producer: int, time: float, format: str,
+              nfields: int) -> list[str]:
+    """The header lines of a checkpoint, which the reader also checks."""
     ni, nj, nk = block.dims
     ext = " ".join(str(e) for e in block.extents)
-    lines = [
+    return [
         _VTK_HEADER,
         f"nekmini step={step} producer={producer} time={time:.17g} extents={ext}",
         "BINARY" if format == "binary" else "ASCII",
@@ -77,23 +81,21 @@ def _encode_vtk(block: Block, step: int, producer: int, time: float, format: str
         f"DIMENSIONS {ni} {nj} {nk}",
         "ORIGIN " + " ".join(f"{x:.17g}" for x in block.origin),
         "SPACING " + " ".join(f"{x:.17g}" for x in block.spacing),
+        f"POINT_DATA {block.point_count}",
+        f"FIELD FieldData {nfields}",
     ]
-    point_fields = [f for f in block.fields if f.association == POINT]
-    cell_fields = [f for f in block.fields if f.association == CELL]
+
+
+def _encode_vtk(block: Block, step: int, producer: int, time: float, format: str) -> bytes:
+    lines = _vtk_head(block, step, producer, time, format, len(block.fields))
     parts = [("\n".join(lines) + "\n").encode("ascii")]
-    for assoc, group in ((POINT, point_fields), (CELL, cell_fields)):
-        if not group:
-            continue
-        count = block.entity_count(assoc)
-        parts.append(f"{_ASSOC_CODE[assoc]} {count}\n".encode("ascii"))
-        parts.append(f"FIELD FieldData {len(group)}\n".encode("ascii"))
-        for f in group:
-            parts.append(f"{f.name} {f.components} {count} double\n".encode("ascii"))
-            if format == "binary":
-                parts.append(f.values.astype(">f8"))
-            else:
-                parts.append(_ascii_values(f.values.tolist()))
-            parts.append(b"\n")
+    for f in block.fields:
+        parts.append(f"{f.name} {f.components} {block.point_count} double\n".encode("ascii"))
+        if format == "binary":
+            parts.append(f.values.astype(">f8"))
+        else:
+            parts.append(_ascii_values(f.values.tolist()))
+        parts.append(b"\n")
     return b"".join(parts)
 
 
@@ -106,8 +108,21 @@ def _ascii_values(vals: list[float]) -> bytes:
 
 
 def checkpoint_read(path: str | Path) -> Snapshot:
-    """Inverse of checkpoint_write for one file: a one-block snapshot."""
-    raw = Path(path).read_bytes()
+    """Inverse of checkpoint_write for one file: a one-block snapshot.
+    Raises CheckpointFormatError on any file it could not have written."""
+    try:
+        s = _decode_vtk(Path(path).read_bytes())
+    except CheckpointFormatError:
+        raise
+    except (ValueError, IndexError) as e:  # a bad number, a short line, a non-ascii byte
+        raise CheckpointFormatError(f"malformed checkpoint: {e}") from e
+    violations = validate_snapshot(s)
+    if violations:
+        raise CheckpointFormatError(f"invalid checkpoint: {violations}")
+    return s
+
+
+def _decode_vtk(raw: bytes) -> Snapshot:
     pos = 0
 
     def next_line() -> str:
@@ -119,66 +134,51 @@ def checkpoint_read(path: str | Path) -> Snapshot:
         pos = nl + 1
         return line
 
-    if next_line() != _VTK_HEADER:
-        raise CheckpointFormatError("not a legacy VTK file")
-    title = next_line()
-    m = re.match(
-        r"nekmini step=(\d+) producer=(\d+) time=(\S+) extents=(-?\d+) (-?\d+) (-?\d+) (-?\d+) (-?\d+) (-?\d+)",
-        title,
-    )
-    step, producer, time_val, extents = 0, 0, 0.0, None
-    if m:
-        step, producer = int(m.group(1)), int(m.group(2))
-        time_val = float(m.group(3))
-        extents = tuple(int(m.group(i)) for i in range(4, 10))
-    mode = next_line()
+    head = [next_line() for _ in range(9)]
+    title, mode = head[1], head[2]
+    m = _TITLE.fullmatch(title)
+    if m is None:
+        raise CheckpointFormatError(f"not a nekmini title line: {title!r}")
     if mode not in ("BINARY", "ASCII"):
         raise CheckpointFormatError(f"unsupported data mode {mode!r}")
-    dataset = next_line()
-    if dataset != "DATASET STRUCTURED_POINTS":
-        raise CheckpointFormatError(f"unsupported dataset type {dataset!r}")
-    dims = tuple(int(x) for x in next_line().split()[1:4])
-    origin = tuple(float(x) for x in next_line().split()[1:4])
-    spacing = tuple(float(x) for x in next_line().split()[1:4])
-    if extents is None:
-        extents = (0, dims[0] - 1, 0, dims[1] - 1, 0, dims[2] - 1)
+    step, producer, time_val = int(m[1]), int(m[2]), float(m[3])
+    ox, oy, oz = map(float, head[5].split()[1:])
+    dx, dy, dz = map(float, head[6].split()[1:])
+    block = Block((ox, oy, oz), (dx, dy, dz), m.groups()[3:])
+    nfields = int(head[8].split()[-1])
+    for got, want in zip(head, _vtk_head(block, step, producer, time_val, mode.lower(), nfields)):
+        if got != want:
+            raise CheckpointFormatError(f"header line {got!r} should read {want!r}")
 
+    npts = block.point_count
     fields: list[FieldArray] = []
-    while pos < len(raw):
-        while pos < len(raw) and raw[pos:pos + 1] == b"\n":
-            pos += 1
-        if pos >= len(raw):
-            break
-        section = next_line().split()
-        assoc = POINT if section[0] == "POINT_DATA" else CELL
-        field_line = next_line().split()
-        if field_line[0] != "FIELD":
-            raise CheckpointFormatError(f"expected FIELD, got {field_line[0]!r}")
-        n_arrays = int(field_line[2])
-        for _ in range(n_arrays):
-            name, comps, count, dtype = next_line().split()
-            comps, count = int(comps), int(count)
-            if dtype != "double":
-                raise CheckpointFormatError(f"unsupported dtype {dtype!r}")
-            n = comps * count
-            if mode == "BINARY":
-                end = pos + 8 * n
-                if end > len(raw):
+    for _ in range(nfields):
+        line = next_line()
+        name, comps = line.split()[:2]
+        if line != f"{name} {comps} {npts} double":
+            raise CheckpointFormatError(f"field line {line!r} should read "
+                                        f"'{name} {comps} {npts} double'")
+        n = int(comps) * npts
+        if mode == "BINARY":
+            end = pos + 8 * n
+            if end > len(raw):
+                raise CheckpointFormatError(f"truncated payload for field {name!r}")
+            values = np.frombuffer(raw[pos:end], dtype=">f8").astype(np.float64)
+            pos = end
+        else:
+            vals: list[float] = []
+            while len(vals) < n:
+                if pos >= len(raw):
                     raise CheckpointFormatError(f"truncated payload for field {name!r}")
-                values = np.frombuffer(raw[pos:end], dtype=">f8").astype(np.float64)
-                pos = end
-            else:
-                vals: list[float] = []
-                while len(vals) < n:
-                    if pos >= len(raw):
-                        raise CheckpointFormatError(f"truncated payload for field {name!r}")
-                    vals.extend(float(x) for x in next_line().split())
-                values = np.array(vals[:n])
-            fields.append(FieldArray(name, assoc, comps, values))
-            if raw[pos:pos + 1] == b"\n":
-                pos += 1
+                vals.extend(float(x) for x in next_line().split())
+            values = np.array(vals)
+        fields.append(FieldArray(name, POINT, int(comps), values))
+        if raw[pos:pos + 1] == b"\n":
+            pos += 1
+    if pos != len(raw):
+        raise CheckpointFormatError(f"{len(raw) - pos} bytes after the last field")
 
-    block = Block(origin, spacing, extents, tuple(fields))
+    block = Block(block.origin, block.spacing, block.extents, tuple(fields))
     return Snapshot(time=time_val, step=step, producer_id=producer, blocks=(block,))
 
 
@@ -325,6 +325,8 @@ class RenderSink:
         self.dir = Path(params.get("dir", "render_out"))
         self.width = int(params.get("width", 256))
         self.height = int(params.get("height", 256))
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"render size must be at least 1x1, got {self.width}x{self.height}")
         f = params.get("field")
         self.fields = [f] if f else ["temperature", "velocity:mag"]
         self.vmin = float(params["vmin"]) if "vmin" in params else None

@@ -3,11 +3,11 @@ endpoint over the framed wire protocol.
 
 A producer runs one shipped step ahead of its ack: send_step first
 reads the ack of the step it shipped before, if that is still unread,
-then sends StepHeader plus one BlockPayload per block and returns
-without waiting. The endpoint acks a step only after all K producers
-delivered it and the analysis bridge has run, so the simulation computes
-while the endpoint analyses, and is never more than one shipped step
-ahead of it (backpressure). drain() reads the last ack. A producer
+then sends the step as one BlockPayload frame and returns without
+waiting. The endpoint acks a step only after all K producers delivered
+it and the analysis bridge has run, so the simulation computes while
+the endpoint analyses, and is never more than one shipped step ahead
+of it (backpressure). drain() reads the last ack. A producer
 sends nothing between a step and reading its ack, so one thread serves
 the whole endpoint: a selector loop over the listener and every
 connection handles each connection's next message in place.
@@ -20,7 +20,7 @@ over that buffer, which the data model adopts without a copy.
 
 Both sides give up after STEP_TIMEOUT seconds: a producer waiting for
 an ack, and an endpoint that hears nothing from any connection. An idle
-endpoint then abandons a step still missing some producers' blocks, or
+endpoint then abandons a step still missing some producers' frames, or
 exits if no producer ever connected. A producer tries to connect
 CONNECT_RETRIES + 1 times, sleeping RETRY_BACKOFF seconds times the
 attempt number after each failure. These are module constants, not
@@ -41,7 +41,7 @@ import socket
 import time
 from dataclasses import dataclass, field
 
-from nekmini.data_model import Block, Snapshot, assemble_global
+from nekmini.data_model import Snapshot, assemble_global
 from nekmini.wire import (
     ERROR_STEP,
     HEADER,
@@ -51,7 +51,6 @@ from nekmini.wire import (
     HelloAck,
     ProtocolError,
     StepAck,
-    StepHeader,
     WireMessage,
     check_header,
     decode_message,
@@ -180,11 +179,10 @@ class ProducerConnection:
 
     def send_step(self, s: Snapshot) -> int:
         """Read the previous step's ack, then send `s` without waiting for
-        its own; returns s.step."""
+        its own; returns s.step. Raises ValueError unless `s` holds one block."""
+        (block,) = s.blocks
         self.drain()
-        self._send(StepHeader(s.step, s.time, len(s.blocks)))
-        for b in s.blocks:
-            self._send(BlockPayload(b))
+        self._send(BlockPayload(s.step, s.time, block))
         self._unacked = s.step
         return s.step
 
@@ -235,10 +233,12 @@ class Endpoint:
     `bridge` is any object with update(snapshot); each completed step
     invokes update exactly once with the global block assembled from all
     K producer blocks ordered by producer id. K is `expected_producers`,
-    the fan-in ratio.
+    the fan-in ratio, at least 1.
     """
 
     def __init__(self, listen_address: str, expected_producers: int, bridge):
+        if expected_producers < 1:
+            raise ValueError(f"expected_producers must be >= 1, got {expected_producers}")
         self.expected_producers = expected_producers
         self.bridge = bridge
         self.summary = EndpointSummary()
@@ -263,7 +263,7 @@ class Endpoint:
         sel.register(self._listener, selectors.EVENT_READ)
         registered: set[int] = set()
         conns: dict[int, socket.socket] = {}  # registered producers not yet gone
-        pending: dict[int, tuple[StepHeader, list[Block]]] = {}
+        pending: dict[int, BlockPayload] = {}  # this step's frame, by producer id
         aborted = False
 
         def close(conn: socket.socket):
@@ -300,22 +300,22 @@ class Endpoint:
             ack(pids, ERROR_STEP)
 
         def complete():
-            ordered = sorted(pending.items())
-            pending.clear()
-            header = ordered[0][1][0]
+            pids = sorted(pending)
+            ordered = [pending.pop(pid) for pid in pids]
+            first = ordered[0]
             try:
-                global_block = assemble_global([b for _, (_, blocks) in ordered for b in blocks])
+                global_block = assemble_global([m.block for m in ordered])
                 snapshot = Snapshot(
-                    time=header.time, step=header.step, producer_id=0, blocks=(global_block,)
+                    time=first.time, step=first.step, producer_id=0, blocks=(global_block,)
                 )
                 self.bridge.update(snapshot)
                 summary.steps_completed += 1
-                step = header.step
+                step = first.step
             except Exception as e:
-                summary.errors.append(f"step {header.step}: {type(e).__name__}: {e}")
+                summary.errors.append(f"step {first.step}: {type(e).__name__}: {e}")
                 summary.incomplete_steps += 1
                 step = ERROR_STEP
-            ack([pid for pid, _ in ordered], step)
+            ack(pids, step)
 
         def greet(conn: socket.socket, reader: FrameReader):
             try:
@@ -342,27 +342,21 @@ class Endpoint:
                 msg = reader.recv_message()
                 if pid in pending:
                     raise ProtocolError(f"{type(msg).__name__} before the ack of step "
-                                        f"{pending[pid][0].step}")
+                                        f"{pending[pid].step}")
                 if isinstance(msg, Bye):
                     depart(pid)
                     return
-                if not isinstance(msg, StepHeader):
-                    raise ProtocolError(f"expected StepHeader or Bye, got {type(msg).__name__}")
-                blocks = []
-                for _ in range(msg.block_count):
-                    payload = reader.recv_message()
-                    if not isinstance(payload, BlockPayload):
-                        raise ProtocolError(f"expected BlockPayload, got {type(payload).__name__}")
-                    blocks.append(payload.block)
+                if not isinstance(msg, BlockPayload):
+                    raise ProtocolError(f"expected BlockPayload or Bye, got {type(msg).__name__}")
             except (TransportError, ProtocolError, OSError) as e:
                 depart(pid, f"producer {pid}: {e}")
                 return
             if aborted:
                 ack([pid], ERROR_STEP)
                 return
-            pending[pid] = (msg, blocks)
+            pending[pid] = msg
             if len(pending) == k:
-                steps = {header.step for header, _ in pending.values()}
+                steps = {m.step for m in pending.values()}
                 if len(steps) != 1:
                     fail(f"producers disagree on step: {sorted(steps)}")
                 else:
@@ -373,7 +367,7 @@ class Endpoint:
                 events = sel.select(timeout)
                 if not events:
                     if pending:
-                        step = next(iter(pending.values()))[0].step
+                        step = next(iter(pending.values())).step
                         fail(f"timed out after {timeout}s waiting for stragglers at step {step}")
                     elif not registered:
                         summary.errors.append(f"no producer connected within {timeout}s")

@@ -2,24 +2,23 @@
 
 Every frame is::
 
-    magic 'NKSS' (4) | version (1, 0x01) | type tag (1) | payload length (u64 LE) | payload
+    magic 'NKSS' (4) | version (1, 0x02) | type tag (1) | payload length (u64 LE) | payload
 
 All multi-byte integers are little-endian; floats are IEEE-754 LE.
 
-Type tags: Hello=0x01, HelloAck=0x02, StepHeader=0x03, BlockPayload=0x04,
-StepAck=0x05, Bye=0x06.
+Type tags: Hello=0x01, HelloAck=0x02, BlockPayload=0x04, StepAck=0x05, Bye=0x06.
 
-Block payload marshaling: origin 3*f64, spacing 3*f64, extents 6*i64,
-field count u32, then per field: name length u16 + UTF-8 bytes,
-association u8 (0 point, 1 cell), components u32, value count u64,
+A step is one BlockPayload frame of point data: step u64, time f64, origin
+3*f64, spacing 3*f64, extents 6*i64, field count u32 (116 bytes), then per
+field: name length u16 + UTF-8 bytes, components u32, value count u64,
 values f64[].
 
-Every message but BlockPayload has one fixed payload length, so
-check_header can reject a bad frame from its 14-byte header alone, before
-a reader reads exactly the declared payload. A BlockPayload frame is
-encoded into one preallocated buffer (one copy per field) and decoded
-with none: each field's values are a read-only float64 view over the
-frame, which FieldArray adopts as it is.
+Every other message has one fixed payload length, and a BlockPayload at
+least 116 bytes, so check_header can reject a bad frame from its 14-byte
+header alone, before a reader reads exactly the declared payload. A
+BlockPayload frame is encoded into one preallocated buffer (one copy per
+field) and decoded with none: each field's values are a read-only float64
+view over the frame, which FieldArray adopts as it is.
 """
 
 from __future__ import annotations
@@ -29,33 +28,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nekmini.data_model import CELL, POINT, Block, FieldArray
+from nekmini.data_model import POINT, Block, FieldArray
 
 MAGIC = b"NKSS"
-VERSION = 0x01
+VERSION = 0x02
 HEADER = struct.Struct("<4sBBQ")  # magic, version, tag, payload length
 
 TAG_HELLO = 0x01
 TAG_HELLO_ACK = 0x02
-TAG_STEP_HEADER = 0x03
 TAG_BLOCK_PAYLOAD = 0x04
 TAG_STEP_ACK = 0x05
 TAG_BYE = 0x06
 
 _HELLO = struct.Struct("<II")  # producer id, reserved flags
 _HELLO_ACK = struct.Struct("<B")
-_STEP_HEADER = struct.Struct("<QdI")  # step, time, block count
 _STEP_ACK = struct.Struct("<Q")
-# every message but BlockPayload has a payload of one fixed length
+# every message but BlockPayload has a payload of one fixed length:
+# tag -> (name, layout, the message from the unpacked payload)
 _FIXED = {
-    TAG_HELLO: ("Hello", _HELLO),
-    TAG_HELLO_ACK: ("HelloAck", _HELLO_ACK),
-    TAG_STEP_HEADER: ("StepHeader", _STEP_HEADER),
-    TAG_STEP_ACK: ("StepAck", _STEP_ACK),
-    TAG_BYE: ("Bye", struct.Struct("<")),
+    TAG_HELLO: ("Hello", _HELLO, lambda pid, _flags: Hello(pid)),
+    TAG_HELLO_ACK: ("HelloAck", _HELLO_ACK, lambda accepted: HelloAck(bool(accepted))),
+    TAG_STEP_ACK: ("StepAck", _STEP_ACK, lambda step: StepAck(step)),
+    TAG_BYE: ("Bye", struct.Struct("<"), lambda: Bye()),
 }
-_BLOCK_FIXED = struct.Struct("<3d3d6qI")  # origin, spacing, extents, field count
-_FIELD_HEAD = struct.Struct("<BIQ")  # association, components, value count
+_STEP_FIXED = struct.Struct("<Qd3d3d6qI")  # step, time, origin, spacing, extents, field count
+_FIELD_HEAD = struct.Struct("<IQ")  # components, value count
 
 MAX_PAYLOAD = 1 << 30  # 1 GiB: the largest payload a frame may declare
 
@@ -79,14 +76,9 @@ class HelloAck:
 
 
 @dataclass(frozen=True)
-class StepHeader:
+class BlockPayload:
     step: int
     time: float
-    block_count: int
-
-
-@dataclass(frozen=True)
-class BlockPayload:
     block: Block
 
 
@@ -100,49 +92,51 @@ class Bye:
     pass
 
 
-WireMessage = Hello | HelloAck | StepHeader | BlockPayload | StepAck | Bye
+WireMessage = Hello | HelloAck | BlockPayload | StepAck | Bye
 
 
-def _block_frame(b: Block) -> bytearray:
-    """A whole BlockPayload frame for b, marshaled into one new buffer."""
+def _block_frame(m: BlockPayload) -> bytearray:
+    """A whole BlockPayload frame for m, marshaled into one new buffer."""
+    b = m.block
     names = [f.name.encode("utf-8") for f in b.fields]
-    size = _BLOCK_FIXED.size + sum(2 + len(name) + _FIELD_HEAD.size + 8 * f.values.size
-                                   for f, name in zip(b.fields, names))
+    size = _STEP_FIXED.size + sum(2 + len(name) + _FIELD_HEAD.size + 8 * f.values.size
+                                  for f, name in zip(b.fields, names))
     buf = bytearray(HEADER.size + size)
     HEADER.pack_into(buf, 0, MAGIC, VERSION, TAG_BLOCK_PAYLOAD, size)
-    _BLOCK_FIXED.pack_into(buf, HEADER.size, *b.origin, *b.spacing, *b.extents, len(b.fields))
-    pos = HEADER.size + _BLOCK_FIXED.size
+    _STEP_FIXED.pack_into(buf, HEADER.size, m.step, m.time, *b.origin, *b.spacing, *b.extents,
+                          len(b.fields))
+    pos = HEADER.size + _STEP_FIXED.size
     for f, name in zip(b.fields, names):
         struct.pack_into("<H", buf, pos, len(name)); pos += 2
         buf[pos:pos + len(name)] = name; pos += len(name)
-        _FIELD_HEAD.pack_into(buf, pos, 0 if f.association == POINT else 1,
-                              f.components, f.values.size); pos += _FIELD_HEAD.size
+        _FIELD_HEAD.pack_into(buf, pos, f.components, f.values.size); pos += _FIELD_HEAD.size
         end = pos + 8 * f.values.size
         buf[pos:end] = memoryview(np.ascontiguousarray(f.values, "<f8")).cast("B")
         pos = end
     return buf
 
 
-def decode_block(buf) -> Block:
-    """Unmarshal a block payload; its fields are read-only views over buf."""
+def decode_block_payload(buf) -> BlockPayload:
+    """Unmarshal a BlockPayload; its fields are read-only views over buf."""
     view = memoryview(buf).toreadonly()
     try:
-        *geometry, nfields = _BLOCK_FIXED.unpack_from(view)
-        pos = _BLOCK_FIXED.size
+        step, time, *geometry, nfields = _STEP_FIXED.unpack_from(view)
+        pos = _STEP_FIXED.size
         fields = []
         for _ in range(nfields):
             (nlen,) = struct.unpack_from("<H", view, pos); pos += 2
             name = str(view[pos:pos + nlen], "utf-8"); pos += nlen
-            assoc_code, comps, nvals = _FIELD_HEAD.unpack_from(view, pos); pos += _FIELD_HEAD.size
+            comps, nvals = _FIELD_HEAD.unpack_from(view, pos); pos += _FIELD_HEAD.size
             end = pos + 8 * nvals
             if end > len(view):
                 raise ProtocolError("truncated block payload")
             values = np.frombuffer(view, "<f8", nvals, pos)
             pos = end
-            fields.append(FieldArray(name, POINT if assoc_code == 0 else CELL, comps, values))
+            fields.append(FieldArray(name, POINT, comps, values))
         if pos != len(view):
             raise ProtocolError(f"{len(view) - pos} trailing bytes in block payload")
-        return Block(geometry[0:3], geometry[3:6], geometry[6:12], tuple(fields))
+        return BlockPayload(step, time, Block(geometry[0:3], geometry[3:6], geometry[6:12],
+                                              tuple(fields)))
     except struct.error as e:
         raise ProtocolError(f"truncated block payload: {e}") from e
     except UnicodeDecodeError as e:
@@ -153,13 +147,11 @@ def encode_message(m: WireMessage) -> bytes | bytearray:
     """One whole frame. A BlockPayload frame is written into one buffer,
     which holds the only copy of each field's values."""
     if isinstance(m, BlockPayload):
-        return _block_frame(m.block)
+        return _block_frame(m)
     if isinstance(m, Hello):
         tag, payload = TAG_HELLO, _HELLO.pack(m.producer_id, 0)  # id + reserved flags
     elif isinstance(m, HelloAck):
         tag, payload = TAG_HELLO_ACK, _HELLO_ACK.pack(1 if m.accepted else 0)
-    elif isinstance(m, StepHeader):
-        tag, payload = TAG_STEP_HEADER, _STEP_HEADER.pack(m.step, m.time, m.block_count)
     elif isinstance(m, StepAck):
         tag, payload = TAG_STEP_ACK, _STEP_ACK.pack(m.step)
     elif isinstance(m, Bye):
@@ -175,7 +167,8 @@ def check_header(buf) -> tuple[int, int]:
     Needs only the HEADER.size header bytes, so a reader can reject a bad
     frame before it allocates room for the payload. Raises ProtocolError on
     a bad magic, version or tag, a fixed-size message of the wrong length,
-    or a declared length over MAX_PAYLOAD.
+    a BlockPayload shorter than its fixed part, or a declared length over
+    MAX_PAYLOAD.
     """
     magic, version, tag, length = HEADER.unpack_from(buf)
     if magic != MAGIC:
@@ -183,11 +176,14 @@ def check_header(buf) -> tuple[int, int]:
     if version != VERSION:
         raise ProtocolError(f"unknown protocol version {version}")
     if tag in _FIXED:
-        name, layout = _FIXED[tag]
+        name, layout, _ = _FIXED[tag]
         if length != layout.size:
             raise ProtocolError(f"{name} payload must be {layout.size} bytes, got {length}")
     elif tag != TAG_BLOCK_PAYLOAD:
         raise ProtocolError(f"unknown message tag 0x{tag:02x}")
+    elif length < _STEP_FIXED.size:
+        raise ProtocolError(f"BlockPayload payload must be at least {_STEP_FIXED.size} bytes, "
+                            f"got {length}")
     if length > MAX_PAYLOAD:
         raise ProtocolError(f"declared payload length {length} exceeds cap {MAX_PAYLOAD}")
     return tag, HEADER.size + length
@@ -207,16 +203,6 @@ def decode_message(buf) -> tuple[WireMessage | None, int]:
         return None, 0
     payload = memoryview(buf)[HEADER.size:total]
     if tag == TAG_BLOCK_PAYLOAD:
-        return BlockPayload(decode_block(payload)), total
-    fields = _FIXED[tag][1].unpack(payload)
-    if tag == TAG_HELLO:
-        msg: WireMessage = Hello(fields[0])
-    elif tag == TAG_HELLO_ACK:
-        msg = HelloAck(bool(fields[0]))
-    elif tag == TAG_STEP_HEADER:
-        msg = StepHeader(*fields)
-    elif tag == TAG_STEP_ACK:
-        msg = StepAck(fields[0])
-    else:
-        msg = Bye()
-    return msg, total
+        return decode_block_payload(payload), total
+    _, layout, message = _FIXED[tag]
+    return message(*layout.unpack(payload)), total

@@ -68,6 +68,15 @@ def test_run_small_insitu(tmp_path, capsys):
     assert (tmp_path / "o" / "timings.csv").exists()
 
 
+@pytest.mark.parametrize("frequency", ["0", "-2"])
+def test_bench_rejects_a_frequency_below_1_before_it_starts(tmp_path, frequency):
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="frequency"):
+        main(["bench", "--producers", "2", "--nx", "8", "--ny", "8", "--steps", "2",
+              "--frequency", frequency, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     # python -m nekmini is how the orchestrator spawns roles
     r = subprocess.run([sys.executable, "-m", "nekmini", "--help"],

@@ -67,8 +67,16 @@ def test_duplicate_field_name_reported():
 
 def test_counts():
     b = make_block(3, 4, 1)
+    assert b.dims == (3, 4, 1)
     assert b.point_count == 12
-    assert b.cell_count == 6  # flat z axis contributes a factor of 1
+
+
+@pytest.mark.parametrize("association", ["cell", "", "Point"])
+def test_only_point_data_is_valid(association):
+    b = make_block(2, 2, 1)
+    bad = Block(b.origin, b.spacing, b.extents, (FieldArray("s", association, 1, np.zeros(4)),))
+    assert validate_snapshot(Snapshot(0.0, 0, 0, (bad,))) == [
+        f"field 's': association {association!r} is not point"]
 
 
 def test_assemble_single_block_identity():

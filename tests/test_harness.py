@@ -115,6 +115,14 @@ def test_run_config_validation(tmp_path):
         RunConfig(small_solver(), 0, None, tmp_path, "x")
 
 
+@pytest.mark.parametrize("bad", [{"frequency": 0}, {"frequency": -2}, {"producers": 0},
+                                 {"producers": -1}])
+def test_run_config_rejects_impossible_counts(tmp_path, bad):
+    # caught when the config is built, not by a producer dying mid-run
+    with pytest.raises(ValueError, match="steps, frequency and producers must be >= 1"):
+        RunConfig(small_solver(), 4, None, tmp_path, "x", **bad)
+
+
 def test_producer_step_times_exclude_start_up_rendezvous(tmp_path):
     # step 0 is the start-up rendezvous: a 1 s transport row that must not
     # count towards the per-step mean of steps 1..N

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nekmini.bridge import AnalysisSpec, Bridge, BridgeConfig
-from nekmini.data_model import CELL, POINT, Block, FieldArray, Snapshot
+from nekmini.data_model import POINT, Block, FieldArray, Snapshot
 from nekmini.sinks import (
     DEFAULT_COLORMAP,
     CheckpointFormatError,
@@ -33,7 +33,7 @@ def random_snapshot(rng, ni=5, nj=4, step=7, producer=2):
     fields = (
         FieldArray("temperature", POINT, 1, rng.standard_normal(npts)),
         FieldArray("velocity", POINT, 2, rng.standard_normal(2 * npts)),
-        FieldArray("pressure", CELL, 1, rng.standard_normal((ni - 1) * (nj - 1))),
+        FieldArray("pressure", POINT, 1, rng.standard_normal(npts)),
     )
     blk = Block(origin=(0.0, 0.0, 0.0), spacing=(0.25, 0.25, 1.0),
                 extents=(0, ni - 1, 0, nj - 1, 0, 0), fields=fields)
@@ -52,19 +52,14 @@ def ascii_vtk_line_by_line(block, step, producer, time):
         f"DIMENSIONS {ni} {nj} {nk}\n"
         "ORIGIN " + " ".join(f"{x:.17g}" for x in block.origin) + "\n"
         "SPACING " + " ".join(f"{x:.17g}" for x in block.spacing) + "\n"
+        f"POINT_DATA {block.point_count}\nFIELD FieldData {len(block.fields)}\n"
     ).encode("ascii")
-    for assoc, keyword in ((POINT, "POINT_DATA"), (CELL, "CELL_DATA")):
-        group = [f for f in block.fields if f.association == assoc]
-        if not group:
-            continue
-        count = block.entity_count(assoc)
-        out += f"{keyword} {count}\nFIELD FieldData {len(group)}\n".encode("ascii")
-        for f in group:
-            out += f"{f.name} {f.components} {count} double\n".encode("ascii")
-            vals = [f"{x:.17g}" for x in f.values]
-            for i in range(0, len(vals), 9):
-                out += " ".join(vals[i:i + 9]).encode("ascii") + b"\n"
-            out += b"\n"
+    for f in block.fields:
+        out += f"{f.name} {f.components} {block.point_count} double\n".encode("ascii")
+        vals = [f"{x:.17g}" for x in f.values]
+        for i in range(0, len(vals), 9):
+            out += " ".join(vals[i:i + 9]).encode("ascii") + b"\n"
+        out += b"\n"
     return out
 
 
@@ -136,8 +131,8 @@ class TestCheckpointRoundTrip:
         pytest.param(n, awkward, id=f"{n}-awkward" if awkward else str(n))
         for awkward in (False, True) for n in (5, 16, 64)])
     def test_ascii_bytes_match_line_by_line_writer(self, tmp_path, n, awkward):
-        # 5x4 gives 20, 40 and 12 values, none a multiple of 9 per line;
-        # 16x16 gives 256, 512 and 225; the awkward values mix +-0.0 and
+        # 5x4 gives 20, 40 and 20 values, none a multiple of 9 per line;
+        # 16x16 gives 256, 512 and 256; the awkward values mix +-0.0 and
         # magnitudes near 1e+-300 into the normal ones
         rng = np.random.default_rng(n)
         s = random_snapshot(rng, ni=n, nj=4 if n == 5 else n)
@@ -156,13 +151,15 @@ class TestCheckpointRoundTrip:
         s = random_snapshot(rng, ni=6, nj=5)
         path, total = checkpoint_write(s, tmp_path, "binary")
         raw = path.read_bytes()
-        npts, ncell = 30, 20
-        payload = 8 * (npts + 2 * npts + ncell)
-        text = len(raw) - payload
+        t, v, p = (f.values.astype(">f8").tobytes() for f in s.blocks[0].fields)
+        assert len(t) + len(v) + len(p) == 8 * (30 + 2 * 30 + 30)
+        assert raw == (b"# vtk DataFile Version 3.0\n"
+                       b"nekmini step=7 producer=2 time=0.875 extents=0 5 0 4 0 0\n"
+                       b"BINARY\nDATASET STRUCTURED_POINTS\nDIMENSIONS 6 5 1\n"
+                       b"ORIGIN 0 0 0\nSPACING 0.25 0.25 1\nPOINT_DATA 30\nFIELD FieldData 3\n"
+                       b"temperature 1 30 double\n" + t + b"\nvelocity 2 30 double\n" + v
+                       + b"\npressure 1 30 double\n" + p + b"\n")
         assert total == len(raw)
-        assert raw[:2] == b"# "
-        # text portion: everything that is not f8 payload
-        assert text == len(raw) - payload > 0
 
     def test_read_rejects_truncated_payload(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -186,6 +183,33 @@ class TestCheckpointRoundTrip:
         raw = path.read_bytes().replace(b"\nASCII\n", b"\nBASE64\n")
         path.write_bytes(raw)
         with pytest.raises(CheckpointFormatError, match="data mode"):
+            checkpoint_read(path)
+
+    @pytest.mark.parametrize("format, old, new, match", [
+        ("binary", b"nekmini step=7", b"nekmini stpe=7", "not a nekmini title line"),
+        ("binary", b"time=0.875", b"time=0.8x5", "malformed checkpoint"),
+        ("binary", b"DIMENSIONS 5 4 1", b"DIMENSIONS 4 5 1",
+         "'DIMENSIONS 4 5 1' should read 'DIMENSIONS 5 4 1'"),
+        ("binary", b"ORIGIN 0 0 0", b"ORIGIN 0 0", "not enough values to unpack"),
+        ("binary", b"temperature 1 20", b"temperature 1 19",
+         "'temperature 1 19 double' should read 'temperature 1 20 double'"),
+        ("binary", b"POINT_DATA", b"FOOBAR_XX", "'FOOBAR_XX 20' should read 'POINT_DATA 20'"),
+        ("binary", b"POINT_DATA 20", b"CELL_DATA 12", "'CELL_DATA 12' should read 'POINT_DATA 20'"),
+        ("binary", b"velocity 2", b"temperature 2", "duplicate field name"),
+        ("binary", b"SPACING 0.25", b"SPACING -0.25", "non-positive spacing"),
+        ("ascii", b"\n\nvelocity", b" 1\n\nvelocity", "field length mismatch"),
+        ("ascii", b"FIELD FieldData 3", b"FIELD FieldData 2", "bytes after the last field"),
+    ], ids=["garbled-title", "non-numeric-time", "dimensions-disagree", "short-origin",
+            "short-tuple-count", "unknown-section", "cell-data", "duplicate-name",
+            "negative-spacing", "extra-ascii-value", "unread-field"])
+    def test_read_rejects_malformed_file(self, tmp_path, format, old, new, match):
+        # every malformed file raises CheckpointFormatError, never another
+        # error and never a snapshot that validate_snapshot rejects
+        path, _ = checkpoint_write(random_snapshot(np.random.default_rng(1)), tmp_path, format)
+        raw = path.read_bytes()
+        assert raw.count(old) == 1
+        path.write_bytes(raw.replace(old, new))
+        with pytest.raises(CheckpointFormatError, match=match):
             checkpoint_read(path)
 
     def test_write_rejects_empty_block(self, tmp_path):
@@ -337,6 +361,11 @@ class TestSinks:
         })
         sink.consume(s)
         assert [p.name for p in (tmp_path / "im").glob("*.ppm")] == ["step000007_temperature.ppm"]
+
+    @pytest.mark.parametrize("size", [{"width": "0"}, {"height": "0"}, {"width": "-3"}])
+    def test_render_sink_rejects_an_empty_image_at_construction(self, tmp_path, size):
+        with pytest.raises(ValueError, match="render size must be at least 1x1"):
+            RenderSink({"dir": str(tmp_path / "im"), **size})
 
     def test_null_sink_counts_and_writes_nothing(self, tmp_path):
         # the bridge's summary counts the invocations; the sink only consumes

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nekmini import transport
-from nekmini.data_model import CELL, POINT, Block, FieldArray, Snapshot
+from nekmini.data_model import POINT, Block, FieldArray, Snapshot
 from nekmini.harness import run_endpoint
 from nekmini.transport import (
     AckTimeout,
@@ -35,14 +35,13 @@ from nekmini.wire import (
     ERROR_STEP,
     HEADER,
     MAGIC,
-    TAG_STEP_HEADER,
+    TAG_BLOCK_PAYLOAD,
     VERSION,
     BlockPayload,
     Bye,
     Hello,
     HelloAck,
     StepAck,
-    StepHeader,
     encode_message,
 )
 
@@ -329,6 +328,33 @@ def test_bridge_failure_error_acks_producers():
     assert ep.summary.bytes_received == sent
 
 
+def test_snapshot_of_other_than_one_block_is_refused_before_any_byte():
+    # a step crosses as one frame holding one block: a snapshot of two
+    # blocks, or none, raises and neither sends nor reads anything, so the
+    # connection carries on with the next step
+    ep, bridge, t = start_endpoint(k=1)
+    conn = connect(ep, 0)
+    assert conn.send_step(producer_snapshot(0, 0)) == 0
+    sent = conn.bytes_sent
+    two = Snapshot(0.5, 50, 0, (producer_block(0), producer_block(1)))
+    for bad in (two, Snapshot(0.5, 50, 0, ())):
+        with pytest.raises(ValueError):
+            conn.send_step(bad)
+        assert conn.bytes_sent == sent
+    assert conn.send_step(producer_snapshot(0, 100)) == 100
+    conn.close()
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert [s.step for s in bridge.snapshots] == [0, 100]
+    assert ep.summary.errors == []
+
+
+def test_endpoint_expecting_no_producer_is_refused():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="expected_producers must be >= 1"):
+            Endpoint("127.0.0.1:0", k, RecordingBridge())
+
+
 def test_blocks_that_do_not_tile_error_ack_the_step(tmp_path):
     # two expected producers with ids 0 and 3: their blocks leave a gap of
     # columns 4..11, so the step is error-acked, not stored as columns 0..7
@@ -489,8 +515,9 @@ def test_rejected_producer_closes_its_socket(k, pids):
 
 
 def test_malformed_step_header_drops_only_that_producer(monkeypatch):
-    # a StepHeader with a 19-byte payload fails producer 0; the endpoint
-    # keeps serving, error-acks producer 1 and ends when it leaves
+    # a BlockPayload of 115 bytes, one short of its fixed step-and-geometry
+    # part, fails producer 0; the endpoint keeps serving, error-acks
+    # producer 1 and ends when it leaves
     monkeypatch.setattr(transport, "STEP_TIMEOUT", 5.0)
     ep, bridge, t = start_endpoint(k=2)
     bad = socket.create_connection(parse_address(ep.address))
@@ -498,7 +525,7 @@ def test_malformed_step_header_drops_only_that_producer(monkeypatch):
         bad.sendall(encode_message(Hello(0)))
         assert FrameReader(bad).recv_message() == HelloAck(True)
         good = connect(ep, 1)
-        bad.sendall(HEADER.pack(MAGIC, VERSION, TAG_STEP_HEADER, 19) + bytes(19))
+        bad.sendall(HEADER.pack(MAGIC, VERSION, TAG_BLOCK_PAYLOAD, 115) + bytes(115))
         good.send_step(producer_snapshot(1, 0))  # returns before its ack
         with pytest.raises(ProtocolError, match="abandoned"):
             good.drain()
@@ -508,7 +535,8 @@ def test_malformed_step_header_drops_only_that_producer(monkeypatch):
     finally:
         bad.close()
     assert bridge.snapshots == []
-    assert "producer 0: StepHeader payload must be 20 bytes, got 19" in ep.summary.errors
+    assert "producer 0: BlockPayload payload must be at least 116 bytes, got 115" \
+        in ep.summary.errors
 
 
 # ---------------------------------------------------------------------------
@@ -541,18 +569,17 @@ def wire_block(seed, ni, nj):
     rng = np.random.default_rng(seed)
     return Block((0.5 * seed, 0.0, 0.0), (0.5, 0.25, 1.0), (0, ni - 1, 0, nj - 1, 0, 0), (
         FieldArray("temperature", POINT, 1, rng.standard_normal(ni * nj)),
-        FieldArray("p", CELL, 2, rng.standard_normal(2 * (ni - 1) * (nj - 1))),
+        FieldArray("p", POINT, 2, rng.standard_normal(2 * ni * nj)),
     ))
 
 
 messages = st.one_of(
     st.builds(Hello, st.integers(0, 2**32 - 1)),
     st.builds(HelloAck, st.booleans()),
-    st.builds(StepHeader, st.integers(0, 2**64 - 1), st.floats(allow_nan=False),
-              st.integers(0, 2**32 - 1)),
     st.builds(StepAck, st.integers(0, ERROR_STEP)),
     st.just(Bye()),
-    st.builds(lambda seed, ni, nj: BlockPayload(wire_block(seed, ni, nj)),
+    st.builds(lambda step, time, seed, ni, nj: BlockPayload(step, time, wire_block(seed, ni, nj)),
+              st.integers(0, 2**64 - 1), st.floats(allow_nan=False),
               st.integers(0, 1000), st.integers(2, 12), st.integers(2, 12)),
 )
 chunkings = st.lists(st.integers(1, 2000), min_size=1, max_size=8)
@@ -629,7 +656,7 @@ def test_reader_scans_each_frame_byte_once(monkeypatch):
 
     monkeypatch.setattr(transport, "decode_message", counting)
     monkeypatch.setattr(transport, "STEP_TIMEOUT", 30.0)
-    frame = bytes(encode_message(BlockPayload(block)))
+    frame = bytes(encode_message(BlockPayload(0, 0.0, block)))
     sock, th = stream_of(frame, [1 << 16])
     try:
         msg = FrameReader(sock).recv_message()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nekmini.data_model import CELL, POINT, Block, FieldArray
+from nekmini.data_model import POINT, Block, FieldArray
 from nekmini.wire import (
     ERROR_STEP,
     HEADER,
@@ -18,7 +18,6 @@ from nekmini.wire import (
     TAG_HELLO,
     TAG_HELLO_ACK,
     TAG_STEP_ACK,
-    TAG_STEP_HEADER,
     VERSION,
     BlockPayload,
     Bye,
@@ -26,29 +25,26 @@ from nekmini.wire import (
     HelloAck,
     ProtocolError,
     StepAck,
-    StepHeader,
     check_header,
-    decode_block,
+    decode_block_payload,
     decode_message,
     encode_message,
 )
 
 
-def encode_block(b):
-    """A block's payload bytes: its frame without the header."""
-    return encode_message(BlockPayload(b))[HEADER.size:]
+def encode_block(b, step=7, time=0.375):
+    """A step's payload bytes: its frame without the header."""
+    return encode_message(BlockPayload(step, time, b))[HEADER.size:]
 
 
-_BLOCK_FIXED_SIZE = 24 + 24 + 48 + 4  # origin, spacing, extents, field count
+_STEP_FIXED_SIZE = 8 + 8 + 24 + 24 + 48 + 4  # step, time, origin, spacing, extents, field count
 
 
 def make_block(rng, ni=4, nj=3, nfields=2):
     fields = []
     for k in range(nfields):
         comps = int(rng.integers(1, 4))
-        assoc = POINT if k % 2 == 0 else CELL
-        n = (ni * nj if assoc == POINT else (ni - 1) * (nj - 1)) * comps
-        fields.append(FieldArray(f"f{k}", assoc, comps, rng.standard_normal(n)))
+        fields.append(FieldArray(f"f{k}", POINT, comps, rng.standard_normal(ni * nj * comps)))
     return Block((0.0, 0.5, 0.0), (0.25, 0.25, 1.0), (0, ni - 1, 0, nj - 1, 0, 0),
                  tuple(fields))
 
@@ -78,9 +74,26 @@ class TestFrameLayout:
         assert msg.step == ERROR_STEP == 2**64 - 1
 
     def test_all_integers_little_endian(self):
-        raw = encode_message(StepHeader(step=0x0102030405060708, time=0.0, block_count=1))
+        b = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 0, 0, 0, 0, 0))
+        raw = encode_message(BlockPayload(step=0x0102030405060708, time=0.0, block=b))
         payload = raw[14:]
         assert payload[:8] == bytes([8, 7, 6, 5, 4, 3, 2, 1])
+
+    def test_step_frame_exact_bytes(self):
+        # a 4x3 block with one field: 14 header + 116 fixed (step, time,
+        # origin, spacing, extents, field count) + 2 name length + 11 name
+        # + 12 (components, value count) + 96 values = 251 bytes
+        values = np.arange(12, dtype=np.float64) / 8
+        b = Block((0.5, -1.0, 0.0), (0.25, 0.5, 1.0), (4, 7, 0, 2, 0, 0),
+                  (FieldArray("temperature", POINT, 1, values),))
+        raw = encode_message(BlockPayload(step=30, time=0.125, block=b))
+        assert len(raw) == 14 + 116 + 2 + 11 + 12 + 96 == 251
+        assert raw == (HEADER.pack(MAGIC, 0x02, TAG_BLOCK_PAYLOAD, 237)
+                       + struct.pack("<Qd3d3d6qI", 30, 0.125, 0.5, -1.0, 0.0, 0.25, 0.5, 1.0,
+                                     4, 7, 0, 2, 0, 0, 1)
+                       + struct.pack("<H", 11) + b"temperature"
+                       + struct.pack("<IQ", 1, 12) + values.astype("<f8").tobytes())
+        assert decode_message(raw) == (BlockPayload(30, 0.125, b), 251)
 
 
 class TestDecodeIncremental:
@@ -92,10 +105,10 @@ class TestDecodeIncremental:
         assert msg == Hello(0) and used == len(raw)
 
     def test_decode_consumes_only_first_frame(self):
-        a = encode_message(StepHeader(5, 1.25, 2))
+        a = encode_message(StepAck(5))
         b = encode_message(Bye())
         msg, used = decode_message(a + b)
-        assert msg == StepHeader(5, 1.25, 2)
+        assert msg == StepAck(5)
         assert used == len(a)
         msg2, used2 = decode_message((a + b)[used:])
         assert msg2 == Bye() and used2 == len(b)
@@ -107,10 +120,12 @@ class TestDecodeIncremental:
             decode_message(bytes(raw))
 
     def test_bad_version_rejected(self):
-        raw = bytearray(encode_message(Bye()))
-        raw[4] = 0x7F
-        with pytest.raises(ProtocolError, match="version"):
-            decode_message(bytes(raw))
+        assert VERSION == 0x02
+        for version in (0x7F, 0x01):  # 0x01 sent a step as a header frame plus blocks
+            raw = bytearray(encode_message(Bye()))
+            raw[4] = version
+            with pytest.raises(ProtocolError, match=f"unknown protocol version {version}"):
+                decode_message(bytes(raw))
 
     def test_unknown_tag_rejected(self):
         raw = bytearray(encode_message(Bye()))
@@ -141,7 +156,7 @@ class TestDecodeIncremental:
     @pytest.mark.parametrize("tag, length", [
         (TAG_HELLO, 0), (TAG_HELLO, 9),
         (TAG_HELLO_ACK, 0), (TAG_HELLO_ACK, 2),
-        (TAG_STEP_HEADER, 0), (TAG_STEP_HEADER, 19), (TAG_STEP_HEADER, 21),
+        (TAG_BLOCK_PAYLOAD, 0), (TAG_BLOCK_PAYLOAD, 115),
         (TAG_STEP_ACK, 0), (TAG_STEP_ACK, 7), (TAG_STEP_ACK, 9),
         (TAG_BYE, 1),
     ])
@@ -155,8 +170,11 @@ class TestDecodeIncremental:
             decode_message(raw)
 
     def test_check_header_gives_tag_and_frame_length(self):
-        raw = encode_message(StepHeader(5, 1.25, 2))
-        assert check_header(raw) == (TAG_STEP_HEADER, len(raw)) == (TAG_STEP_HEADER, 34)
+        raw = encode_message(StepAck(5))
+        assert check_header(raw) == (TAG_STEP_ACK, len(raw)) == (TAG_STEP_ACK, 22)
+        raw = encode_message(BlockPayload(5, 1.25, Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+                                                          (0, 0, 0, 0, 0, 0))))
+        assert check_header(raw) == (TAG_BLOCK_PAYLOAD, len(raw)) == (TAG_BLOCK_PAYLOAD, 130)
 
 
 class TestRoundTrips:
@@ -165,8 +183,8 @@ class TestRoundTrips:
         Hello(2**32 - 1),
         HelloAck(True),
         HelloAck(False),
-        StepHeader(0, 0.0, 1),
-        StepHeader(2**63, -1.5e300, 2**32 - 1),
+        StepAck(0),
+        StepAck(ERROR_STEP - 1),
         StepAck(12345),
         StepAck(ERROR_STEP),
         Bye(),
@@ -179,7 +197,9 @@ class TestRoundTrips:
     def test_block_round_trip_bit_exact(self):
         rng = np.random.default_rng(17)
         b = make_block(rng)
-        back = decode_block(encode_block(b))
+        back = decode_block_payload(encode_block(b, step=2**64 - 2, time=-1.5e300))
+        assert (back.step, back.time) == (2**64 - 2, -1.5e300)
+        back = back.block
         assert back.origin == b.origin
         assert back.spacing == b.spacing
         assert back.extents == b.extents
@@ -190,12 +210,13 @@ class TestRoundTrips:
     def test_block_payload_message_round_trip(self):
         rng = np.random.default_rng(3)
         b = make_block(rng)
-        decoded, _ = decode_message(encode_message(BlockPayload(b)))
+        decoded, _ = decode_message(encode_message(BlockPayload(3, 0.5, b)))
+        assert (decoded.step, decoded.time) == (3, 0.5)
         assert np.array_equal(decoded.block.fields[0].values, b.fields[0].values)
 
     def test_decoded_fields_are_read_only_views_of_the_frame(self):
         rng = np.random.default_rng(4)
-        frame = encode_message(BlockPayload(make_block(rng)))
+        frame = encode_message(BlockPayload(0, 0.0, make_block(rng)))
         decoded, _ = decode_message(frame)
         for f in decoded.block.fields:
             assert not f.values.flags.writeable
@@ -205,10 +226,10 @@ class TestRoundTrips:
     def test_block_frame_is_one_buffer_of_the_frame_size(self):
         rng = np.random.default_rng(6)
         b = make_block(rng)
-        frame = encode_message(BlockPayload(b))
+        frame = encode_message(BlockPayload(0, 0.0, b))
         assert isinstance(frame, bytearray)
-        payload = _BLOCK_FIXED_SIZE + sum(2 + len(f.name) + 13 + 8 * f.values.size
-                                          for f in b.fields)
+        payload = _STEP_FIXED_SIZE + sum(2 + len(f.name) + 12 + 8 * f.values.size
+                                         for f in b.fields)
         assert len(frame) == HEADER.size + payload
         assert HEADER.unpack_from(frame) == (MAGIC, VERSION, TAG_BLOCK_PAYLOAD, payload)
 
@@ -216,27 +237,27 @@ class TestRoundTrips:
         f = FieldArray("ab", POINT, 1, np.zeros(12))
         raw = bytearray(encode_block(Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
                                            (0, 3, 0, 2, 0, 0), (f,))))
-        raw[102:104] = b"\xff\xfe"
+        raw[118:120] = b"\xff\xfe"  # the name, after 116 fixed bytes and its length
         with pytest.raises(ProtocolError, match="UTF-8"):
-            decode_block(raw)
+            decode_block_payload(raw)
 
     def test_truncated_block_rejected(self):
         rng = np.random.default_rng(1)
         raw = encode_block(make_block(rng))
         with pytest.raises(ProtocolError, match="truncated"):
-            decode_block(raw[:-8])
+            decode_block_payload(raw[:-8])
 
     def test_trailing_bytes_rejected(self):
         rng = np.random.default_rng(1)
         raw = encode_block(make_block(rng))
         with pytest.raises(ProtocolError, match="trailing"):
-            decode_block(raw + b"\x00" * 4)
+            decode_block_payload(raw + b"\x00" * 4)
 
     def test_block_size_oracle(self):
-        # fixed part 24+24+48+4, per field 2+len(name)+13+8*nvals
+        # fixed part 8+8+24+24+48+4, per field 2+len(name)+12+8*nvals
         f = FieldArray("temperature", POINT, 1, np.zeros(12))
         b = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 3, 0, 2, 0, 0), (f,))
-        assert len(encode_block(b)) == 100 + 2 + 11 + 13 + 96
+        assert len(encode_block(b)) == 116 + 2 + 11 + 12 + 96
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -248,7 +269,7 @@ class TestRoundTrips:
     def test_randomized_block_round_trip(self, seed, ni, nj, nfields):
         rng = np.random.default_rng(seed)
         b = make_block(rng, ni=ni, nj=nj, nfields=nfields)
-        back = decode_block(encode_block(b))
+        back = decode_block_payload(encode_block(b, step=seed)).block
         assert back.extents == b.extents
         for fa, fb in zip(b.fields, back.fields):
             assert np.array_equal(fa.values, fb.values)
