@@ -7,14 +7,15 @@ swaps the analyses without touching the code that drives the loop.
 Document grammar::
 
     <sensei>
-      <analysis type="checkpoint" frequency="100" dir="ckpt" format="binary"/>
-      <analysis type="render" frequency="100" dir="img" width="256" height="256"/>
-      <analysis type="stats" frequency="10" path="stats.csv"/>
-      <analysis type="null" frequency="1"/>
+      <analysis type="<kind>" frequency="<n>" <the sink's attributes>/>
+      ...
     </sensei>
 
-type="catalyst" is accepted as an alias for render. Unknown attributes
-are warnings, not errors.
+`type` picks the sink (`sinks.SINKS`; "catalyst" is an alias for render)
+and `frequency` (an integer >= 1, default 1) its cadence. Each sink
+declares its own attributes; `parse_config` converts and checks them, so
+a spec holds the sink's typed keyword arguments. Unknown attributes are
+warnings, not errors.
 """
 
 from __future__ import annotations
@@ -22,21 +23,12 @@ from __future__ import annotations
 import logging
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from nekmini.data_model import Snapshot, validate_snapshot
 from nekmini import sinks as sinks_mod
 
 log = logging.getLogger(__name__)
-
-KINDS = ("checkpoint", "render", "null", "stats")
-
-_KNOWN_ATTRS = {
-    "checkpoint": {"dir", "format"},
-    "render": {"dir", "width", "height", "field", "vmin", "vmax"},
-    "null": set(),
-    "stats": {"path"},
-}
 
 
 class ConfigError(ValueError):
@@ -47,16 +39,11 @@ class ConfigError(ValueError):
 class AnalysisSpec:
     kind: str
     frequency: int
-    params: dict[str, str] = field(default_factory=dict)
+    params: dict[str, object] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class BridgeConfig:
-    specs: tuple[AnalysisSpec, ...] = ()
-
-
-def parse_config(text: str) -> BridgeConfig:
-    """Parse the XML analysis configuration."""
+def parse_config(text: str) -> tuple[AnalysisSpec, ...]:
+    """Parse the XML analysis configuration into one spec per analysis."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as e:
@@ -75,30 +62,32 @@ def parse_config(text: str) -> BridgeConfig:
             raise ConfigError("<analysis> element missing 'type' attribute")
         if kind == "catalyst":
             kind = "render"
-        if kind not in KINDS:
+        sink = sinks_mod.SINKS.get(kind)
+        if sink is None:
             raise ConfigError(f"unknown analysis kind {kind!r}")
-        freq_text = attrs.pop("frequency", "1")
-        try:
-            frequency = int(freq_text)
-        except ValueError:
-            raise ConfigError(f"frequency must be an integer, got {freq_text!r}") from None
-        if frequency < 1:
-            raise ConfigError(f"frequency must be >= 1, got {frequency}")
-
+        frequency = _parse(kind, "frequency", sinks_mod.positive_int, attrs.pop("frequency", "1"))
         params = {}
-        for k, v in attrs.items():
-            if k in _KNOWN_ATTRS[kind]:
-                params[k] = v
-            else:
-                log.warning("ignoring unknown attribute %r on analysis type %r", k, kind)
-        if kind == "stats" and "path" not in params:
-            raise ConfigError("stats analysis requires a 'path' attribute")
+        for f in fields(sink):
+            if f.name in attrs:
+                params[f.name] = _parse(kind, f.name, sink.PARSE.get(f.name, str),
+                                        attrs.pop(f.name))
+            elif f.default is MISSING:
+                raise ConfigError(f"{kind} analysis requires a {f.name!r} attribute")
+        for k in attrs:
+            log.warning("ignoring unknown attribute %r on analysis type %r", k, kind)
         specs.append(AnalysisSpec(kind, frequency, params))
 
-    return BridgeConfig(specs=tuple(specs))
+    return tuple(specs)
 
 
-def load_config(path: str) -> BridgeConfig:
+def _parse(kind: str, name: str, parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as e:
+        raise ConfigError(f"{kind} attribute {name}={text!r}: {e}") from None
+
+
+def load_config(path: str) -> tuple[AnalysisSpec, ...]:
     with open(path, encoding="utf-8") as f:
         return parse_config(f.read())
 
@@ -125,10 +114,10 @@ class Bridge:
     are disallowed by contract.
     """
 
-    def __init__(self, cfg: BridgeConfig):
-        self.cfg = cfg
-        self.sinks = [sinks_mod.make_sink(spec.kind, spec.params) for spec in cfg.specs]
-        self.summaries = [SinkSummary(spec.kind) for spec in cfg.specs]
+    def __init__(self, specs: tuple[AnalysisSpec, ...]):
+        self.specs = specs
+        self.sinks = [sinks_mod.SINKS[spec.kind](**spec.params) for spec in specs]
+        self.summaries = [SinkSummary(spec.kind) for spec in specs]
         self._last_step: int | None = None
 
     def update(self, s: Snapshot):
@@ -146,7 +135,7 @@ class Bridge:
             )
         self._last_step = s.step
 
-        for spec, sink, summary in zip(self.cfg.specs, self.sinks, self.summaries):
+        for spec, sink, summary in zip(self.specs, self.sinks, self.summaries):
             if not should_trigger(spec, s.step):
                 continue
             t0 = time.perf_counter()
@@ -164,6 +153,6 @@ class Bridge:
         return list(self.summaries)
 
 
-def initialize(cfg: BridgeConfig) -> Bridge:
+def initialize(specs: tuple[AnalysisSpec, ...]) -> Bridge:
     """Construct all sinks up front (fail-fast on unwritable outputs)."""
-    return Bridge(cfg)
+    return Bridge(specs)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from nekmini import bridge as bridge_mod
 from nekmini import harness, reporting
+from nekmini.sinks import positive_int
 from nekmini.solver import SolverParams
 
 
@@ -31,11 +32,22 @@ def _add_solver_args(p: argparse.ArgumentParser):
     p.add_argument("--amplitude", type=float, default=1.0e-3)
 
 
-def _solver_params(args) -> SolverParams:
-    return SolverParams(
-        nx=args.nx, ny=args.ny, rayleigh=args.rayleigh, prandtl=args.prandtl,
-        dt=args.dt, seed=args.seed, perturbation_amplitude=args.amplitude,
-    )
+def _run_config(parser: argparse.ArgumentParser, args, **kw) -> harness.RunConfig:
+    """The run's settings; a solver flag that SolverParams rejects is a usage error."""
+    try:
+        solver = SolverParams(
+            nx=args.nx, ny=args.ny, rayleigh=args.rayleigh, prandtl=args.prandtl,
+            dt=args.dt, seed=args.seed, perturbation_amplitude=args.amplitude,
+        )
+    except ValueError as e:  # a grid below 4x4, a non-positive dt, ...
+        parser.error(str(e))
+    return harness.RunConfig(solver=solver, steps=args.steps, output_dir=Path(args.out),
+                             label=args.label, **kw)
+
+
+def counts(text: str) -> list[int]:
+    """argparse type of weak-scale --producers: comma-separated integers >= 1."""
+    return [positive_int(x) for x in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,14 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="in situ benchmark run")
     _add_solver_args(p)
     p.add_argument("--config", help="analysis XML (omit for the empty baseline)")
-    p.add_argument("--steps", type=int, default=3000)
+    p.add_argument("--steps", type=positive_int, default=3000)
     p.add_argument("--out", required=True)
     p.add_argument("--label", default="insitu")
 
     p = sub.add_parser("endpoint", help="in transit staging endpoint")
     p.add_argument("--config", help="analysis XML (omit for the empty baseline)")
     p.add_argument("--listen", default="127.0.0.1:0")
-    p.add_argument("--producers", type=int, default=4)
+    p.add_argument("--producers", type=positive_int, default=4)
     p.add_argument("--out", required=True)
     p.add_argument("--label", default="intransit")
     p.add_argument("--port-file", help="write the bound host:port here once listening")
@@ -61,26 +73,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_args(p)
     p.add_argument("--endpoint", required=True, help="host:port of the endpoint")
     p.add_argument("--id", type=int, default=0)
-    p.add_argument("--steps", type=int, default=3000)
-    p.add_argument("--frequency", type=int, default=100)
+    p.add_argument("--steps", type=positive_int, default=3000)
+    p.add_argument("--frequency", type=positive_int, default=100)
     p.add_argument("--out", required=True)
     p.add_argument("--label", default="intransit")
 
     p = sub.add_parser("bench", help="orchestrated in transit benchmark")
     _add_solver_args(p)
     p.add_argument("--config", help="analysis XML for the endpoint")
-    p.add_argument("--producers", type=int, default=4)
-    p.add_argument("--steps", type=int, default=3000)
-    p.add_argument("--frequency", type=int, default=100)
+    p.add_argument("--producers", type=positive_int, default=4)
+    p.add_argument("--steps", type=positive_int, default=3000)
+    p.add_argument("--frequency", type=positive_int, default=100)
     p.add_argument("--out", required=True)
     p.add_argument("--label", default="intransit")
 
     p = sub.add_parser("weak-scale", help="weak scaling experiment")
     _add_solver_args(p)
     p.add_argument("--config", help="analysis XML for the endpoint")
-    p.add_argument("--producers", default="1,2,4", help="comma-separated counts")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--frequency", type=int, default=100)
+    p.add_argument("--producers", type=counts, default="1,2,4", help="comma-separated counts")
+    p.add_argument("--steps", type=positive_int, default=500)
+    p.add_argument("--frequency", type=positive_int, default=100)
     p.add_argument("--out", required=True)
     p.add_argument("--label", default="weakscale")
 
@@ -95,13 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "run":
-        out = harness.run_insitu(harness.RunConfig(
-            solver=_solver_params(args), steps=args.steps,
-            bridge_config_path=args.config, output_dir=Path(args.out), label=args.label,
-        ))
+        out = harness.run_insitu(_run_config(parser, args, bridge_config_path=args.config))
         print(f"in situ run complete: {out}")
 
     elif args.command == "endpoint":
@@ -110,42 +120,33 @@ def main(argv: list[str] | None = None) -> int:
         print(f"endpoint finished: {out}")
 
     elif args.command == "producer":
-        cfg = harness.RunConfig(
-            solver=_solver_params(args), steps=args.steps,
-            bridge_config_path=None, output_dir=Path(args.out), label=args.label,
-            frequency=args.frequency, endpoint_address=args.endpoint, producer_id=args.id,
-        )
+        cfg = _run_config(parser, args, bridge_config_path=None, frequency=args.frequency,
+                          endpoint_address=args.endpoint, producer_id=args.id)
         out = harness.run_producer(cfg)
         print(f"producer {args.id} finished: {out}")
 
     elif args.command == "bench":
-        cfg = harness.RunConfig(
-            solver=_solver_params(args), steps=args.steps,
-            bridge_config_path=args.config, output_dir=Path(args.out), label=args.label,
-            producers=args.producers, frequency=args.frequency,
-        )
+        cfg = _run_config(parser, args, bridge_config_path=args.config,
+                          producers=args.producers, frequency=args.frequency)
         out = harness.run_intransit(cfg)
         print(f"in transit benchmark complete: {out}")
 
     elif args.command == "weak-scale":
-        counts = [int(x) for x in args.producers.split(",") if x]
-        cfg = harness.RunConfig(
-            solver=_solver_params(args), steps=args.steps,
-            bridge_config_path=args.config, output_dir=Path(args.out), label=args.label,
-            frequency=args.frequency,
-        )
-        out = harness.weak_scaling(cfg, counts)
+        cfg = _run_config(parser, args, bridge_config_path=args.config,
+                          frequency=args.frequency)
+        out = harness.weak_scaling(cfg, args.producers)
         print(f"weak scaling table: {out / 'scaling.csv'}")
 
     elif args.command == "validate-config":
         try:
-            cfg = bridge_mod.load_config(args.config)
+            specs = bridge_mod.load_config(args.config)
         except (OSError, bridge_mod.ConfigError) as e:
             print(f"invalid: {e}", file=sys.stderr)
             return 1
-        for spec in cfg.specs:
-            print(f"analysis kind={spec.kind} frequency={spec.frequency} params={spec.params}")
-        print(f"ok: {len(cfg.specs)} analysis spec(s)")
+        for spec in specs:
+            params = "".join(f" {k}={v}" for k, v in spec.params.items())
+            print(f"analysis kind={spec.kind} frequency={spec.frequency}{params}")
+        print(f"ok: {len(specs)} analysis spec(s)")
 
     elif args.command == "report":
         summary, chart = reporting.report(args.dir, args.out)

@@ -88,12 +88,6 @@ def measure_memory_hwm() -> int:
     return peak if sys.platform == "darwin" else peak * 1024
 
 
-def _load_bridge(path: str | None) -> bridge_mod.Bridge:
-    if path is None:
-        return bridge_mod.initialize(bridge_mod.BridgeConfig())
-    return bridge_mod.initialize(bridge_mod.load_config(path))
-
-
 def _drive(cfg: RunConfig, deliver, phase: str, cadence: int) -> list[TimingRecord]:
     """The solver loop of the in situ run and of a producer.
 
@@ -162,7 +156,8 @@ def run_insitu(cfg: RunConfig) -> Path:
     """
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    br = _load_bridge(cfg.bridge_config_path)
+    br = bridge_mod.initialize(bridge_mod.load_config(cfg.bridge_config_path)
+                               if cfg.bridge_config_path is not None else ())
     rows = _drive(cfg, br.update, "sink", 1)
     _write_reports(out, cfg.label, "insitu", rows, br.finalize(), {})
     return out
@@ -209,7 +204,8 @@ def run_endpoint(output_dir: str | Path, bridge_config_path: str | None, label: 
     transport. Writes the bound address to port_file once listening."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    br = _load_bridge(bridge_config_path)
+    br = bridge_mod.initialize(bridge_mod.load_config(bridge_config_path)
+                               if bridge_config_path is not None else ())
     ep = Endpoint(listen, producers, br)
     if port_file:
         tmp = Path(str(port_file) + ".tmp")
@@ -223,6 +219,7 @@ def run_endpoint(output_dir: str | Path, bridge_config_path: str | None, label: 
         f"incomplete_steps={summary.incomplete_steps}",
         f"bytes_received={summary.bytes_received}",
         f"producers_seen={summary.producers_seen}",
+        f"rejected_connections={summary.rejected_connections}",
     ] + [f"error={e}" for e in summary.errors]
     (out / "endpoint_summary.txt").write_text("\n".join(lines) + "\n")
     return out

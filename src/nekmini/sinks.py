@@ -1,6 +1,10 @@
 """Pluggable analysis sinks: checkpoint writer/reader, pseudocolor
 renderer, statistics CSV, and a null sink.
 
+`SINKS` maps each analysis kind to its sink: a dataclass whose fields are
+the XML attributes it takes (one without a default is required), and whose
+`PARSE` converts an attribute's text, raising ValueError on a bad value.
+
 Every sink reads the one block of the snapshot it is given (the bridge
 rejects any other snapshot; in transit, the endpoint has already tiled
 the producers' blocks into one). A checkpoint is one file per snapshot,
@@ -57,8 +61,7 @@ def checkpoint_filename(step: int, blk: int) -> str:
 def checkpoint_write(s: Snapshot, dir: str | Path, format: str = "binary") -> tuple[Path, int]:
     """Write the snapshot's block as one legacy-VTK file, named for its
     step and producer; returns (path, bytes written)."""
-    if format not in ("ascii", "binary"):
-        raise ValueError(f"format must be 'ascii' or 'binary', got {format!r}")
+    checkpoint_format(format)
     (block,) = s.blocks
     if not block.fields:
         raise ValueError("block has no fields to checkpoint")
@@ -244,8 +247,8 @@ def scalar_field(block: Block, name: str) -> np.ndarray:
 def render(
     s: Snapshot,
     field: str,
-    width: int = 256,
-    height: int = 256,
+    width: int,
+    height: int,
     vmin: float | None = None,
     vmax: float | None = None,
 ) -> ImageRGB:
@@ -304,12 +307,26 @@ def write_ppm(img: ImageRGB, path: str | Path) -> int:
 # sink classes used by the bridge
 # ---------------------------------------------------------------------------
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError("must be an integer >= 1")
+    return n
+
+
+def checkpoint_format(text: str) -> str:
+    if text not in ("ascii", "binary"):
+        raise ValueError("must be 'ascii' or 'binary'")
+    return text
+
+
+@dataclass
 class CheckpointSink:
-    def __init__(self, params: dict[str, str]):
-        self.dir = Path(params.get("dir", "checkpoint_out"))
-        self.format = params.get("format", "binary")
-        if self.format not in ("ascii", "binary"):
-            raise ValueError(f"checkpoint format must be ascii or binary, got {self.format!r}")
+    PARSE = {"dir": Path, "format": checkpoint_format}
+    dir: Path = Path("checkpoint_out")
+    format: str = "binary"
+
+    def __post_init__(self):
         self.dir.mkdir(parents=True, exist_ok=True)
         _probe_writable(self.dir)
 
@@ -317,20 +334,23 @@ class CheckpointSink:
         return checkpoint_write(s, self.dir, self.format)[1]
 
 
+@dataclass
 class RenderSink:
     """Renders per trigger; with no explicit field, renders two images
-    (temperature and velocity magnitude) per snapshot."""
+    (temperature and velocity magnitude) per snapshot. The field name is
+    checked against each snapshot, so an unknown one fails every trigger."""
 
-    def __init__(self, params: dict[str, str]):
-        self.dir = Path(params.get("dir", "render_out"))
-        self.width = int(params.get("width", 256))
-        self.height = int(params.get("height", 256))
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"render size must be at least 1x1, got {self.width}x{self.height}")
-        f = params.get("field")
-        self.fields = [f] if f else ["temperature", "velocity:mag"]
-        self.vmin = float(params["vmin"]) if "vmin" in params else None
-        self.vmax = float(params["vmax"]) if "vmax" in params else None
+    PARSE = {"dir": Path, "width": positive_int, "height": positive_int,
+             "vmin": float, "vmax": float}
+    dir: Path = Path("render_out")
+    width: int = 256
+    height: int = 256
+    field: str | None = None
+    vmin: float | None = None
+    vmax: float | None = None
+
+    def __post_init__(self):
+        self.fields = [self.field] if self.field else ["temperature", "velocity:mag"]
         self.dir.mkdir(parents=True, exist_ok=True)
         _probe_writable(self.dir)
 
@@ -343,26 +363,25 @@ class RenderSink:
         return total
 
 
+@dataclass
 class NullSink:
     """Consumes every snapshot and writes nothing (baseline and scaling runs)."""
-
-    def __init__(self, params: dict[str, str]):
-        pass
 
     def consume(self, s: Snapshot) -> int:
         return 0
 
 
+@dataclass
 class StatsSink:
     """Appends step,time,field,min,max,mean rows (stats over all points
     and components of each field)."""
 
     HEADER = "step,time,field,min,max,mean"
+    PARSE = {"path": Path}
+    path: Path
 
-    def __init__(self, params: dict[str, str]):
-        self.path = Path(params["path"])
-        if self.path.parent != Path(""):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+    def __post_init__(self):
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self.path.exists():
             self.path.write_text(self.HEADER + "\n")
         _probe_writable(self.path.parent)
@@ -391,17 +410,9 @@ def _probe_writable(d: Path):
         raise OSError(f"output directory {d} is not writable: {e}") from e
 
 
-_SINK_TYPES = {
+SINKS = {
     "checkpoint": CheckpointSink,
     "render": RenderSink,
     "null": NullSink,
     "stats": StatsSink,
 }
-
-
-def make_sink(kind: str, params: dict[str, str]):
-    try:
-        cls = _SINK_TYPES[kind]
-    except KeyError:
-        raise ValueError(f"unknown sink kind {kind!r}") from None
-    return cls(params)

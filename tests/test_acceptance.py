@@ -480,10 +480,10 @@ def test_criterion_8_runtime_reconfiguration(tmp_path):
         all(n.endswith(".vtk") for n in ck_files) and len(ck_files) == 3
         and all(n.endswith(".ppm") for n in rd_files) and len(rd_files) == 6
     )
-    doc_cfg = parse_config(CATALYST_DOC)
-    doc_ok = (len(doc_cfg.specs) == 1
-              and doc_cfg.specs[0].kind == "render"
-              and doc_cfg.specs[0].frequency == 100)
+    doc_specs = parse_config(CATALYST_DOC)
+    doc_ok = (len(doc_specs) == 1
+              and doc_specs[0].kind == "render"
+              and doc_specs[0].frequency == 100)
     _verdict(
         8, "runtime reconfiguration",
         disjoint and doc_ok,

@@ -1,4 +1,6 @@
 import time
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
@@ -6,11 +8,11 @@ from nekmini import bridge as bridge_mod
 from nekmini.bridge import (
     AnalysisSpec,
     Bridge,
-    BridgeConfig,
     ConfigError,
     parse_config,
     should_trigger,
 )
+from nekmini.sinks import SINKS
 from nekmini.solver import SolverParams, init_state, snapshot_of, step
 
 # the upstream sample document, verbatim
@@ -29,16 +31,13 @@ def make_snapshot(step_no=0):
 
 
 def test_catalyst_document_parses_verbatim():
-    cfg = parse_config(CATALYST_DOC)
-    assert len(cfg.specs) == 1
-    spec = cfg.specs[0]
+    (spec,) = parse_config(CATALYST_DOC)
     assert spec.kind == "render"  # catalyst maps onto the render sink
     assert spec.frequency == 100
 
 
 def test_empty_document_gives_no_specs():
-    cfg = parse_config("<sensei></sensei>")
-    assert cfg.specs == ()
+    assert parse_config("<sensei></sensei>") == ()
 
 
 def test_unknown_kind_rejected():
@@ -63,8 +62,8 @@ def test_stats_requires_path():
 
 def test_unknown_attribute_is_warning_not_error(caplog):
     with caplog.at_level("WARNING"):
-        cfg = parse_config('<sensei><analysis type="null" frequency="2" zap="1"/></sensei>')
-    assert cfg.specs[0].kind == "null"
+        (spec,) = parse_config('<sensei><analysis type="null" frequency="2" zap="1"/></sensei>')
+    assert spec.kind == "null"
     assert any("zap" in rec.message for rec in caplog.records)
 
 
@@ -84,8 +83,7 @@ def test_should_trigger(freq, step_no, expected):
 
 def test_trigger_count_over_run():
     # steps 1..3000 at frequency 100: 30 exactly
-    cfg = BridgeConfig((AnalysisSpec("null", 100),))
-    br = Bridge(cfg)
+    br = Bridge((AnalysisSpec("null", 100),))
     snap = make_snapshot()
     for s in range(1, 3001):
         br.update(type(snap)(snap.time, s, 0, snap.blocks))
@@ -93,7 +91,7 @@ def test_trigger_count_over_run():
 
 
 def test_non_monotone_step_rejected():
-    br = Bridge(BridgeConfig((AnalysisSpec("null", 1),)))
+    br = Bridge((AnalysisSpec("null", 1),))
     snap = make_snapshot()
     br.update(type(snap)(snap.time, 5, 0, snap.blocks))
     with pytest.raises(ValueError, match="non-increasing"):
@@ -101,7 +99,7 @@ def test_non_monotone_step_rejected():
 
 
 def test_invalid_snapshot_rejected():
-    br = Bridge(BridgeConfig((AnalysisSpec("null", 1),)))
+    br = Bridge((AnalysisSpec("null", 1),))
     snap = make_snapshot()
     bad = type(snap)(snap.time, 1, 0, ())
     with pytest.raises(ValueError, match="invalid snapshot"):
@@ -109,7 +107,7 @@ def test_invalid_snapshot_rejected():
 
 
 def test_two_block_snapshot_rejected():
-    br = Bridge(BridgeConfig((AnalysisSpec("null", 1),)))
+    br = Bridge((AnalysisSpec("null", 1),))
     snap = make_snapshot()
     two = type(snap)(snap.time, 1, 0, snap.blocks * 2)
     with pytest.raises(ValueError, match="2 blocks"):
@@ -182,6 +180,30 @@ def test_unwritable_output_fails_at_initialize(tmp_path):
 
 
 def test_empty_config_update_is_noop():
-    br = Bridge(BridgeConfig())
+    br = Bridge(())
     br.update(make_snapshot())
     assert br.finalize() == []
+
+
+def readme_attribute_table():
+    """The rows of README's attribute table, each a list of its cells."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## Analysis configuration\n")[1].split("\n## ")[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0] == ["kind", "attribute", "check", "default", "required"]
+    return rows[1:]
+
+
+def test_readme_attribute_table_matches_the_sink_declarations():
+    rows = readme_attribute_table()
+    assert {kind for kind, *_ in rows} == set(SINKS)
+    documented = {(kind, name.strip("`")) for kind, name, *_ in rows if name != "—"}
+    declared = {kind: {f.name: f.default for f in fields(cls)} for kind, cls in SINKS.items()}
+    assert documented == {(kind, name) for kind in declared for name in declared[kind]}
+    for kind, name, _, default, required in rows:
+        if name != "—":
+            want = declared[kind][name.strip("`")]
+            assert required == ("yes" if want is MISSING else "no"), (kind, name)
+            if want not in (None, MISSING):
+                assert default == f"`{want}`", (kind, name)

@@ -2,12 +2,15 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from nekmini import reporting
+from nekmini.bridge import ConfigError, initialize, load_config
 from nekmini.cli import build_parser, main
 from nekmini.reporting import TimingRecord
+from nekmini.solver import SolverParams, init_state, snapshot_of
 
 
 def test_parser_requires_subcommand():
@@ -31,7 +34,8 @@ def test_producer_requires_endpoint(capsys):
 
 def test_weak_scale_producer_list():
     args = build_parser().parse_args(["weak-scale", "--out", "x", "--producers", "1,2,8"])
-    assert [int(x) for x in args.producers.split(",")] == [1, 2, 8]
+    assert args.producers == [1, 2, 8]
+    assert build_parser().parse_args(["weak-scale", "--out", "x"]).producers == [1, 2, 4]
 
 
 def test_validate_config_ok(tmp_path, capsys):
@@ -69,12 +73,87 @@ def test_run_small_insitu(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("frequency", ["0", "-2"])
-def test_bench_rejects_a_frequency_below_1_before_it_starts(tmp_path, frequency):
+def test_bench_rejects_a_frequency_below_1_before_it_starts(tmp_path, frequency, capsys):
     out = tmp_path / "o"
-    with pytest.raises(ValueError, match="frequency"):
+    with pytest.raises(SystemExit) as e:
         main(["bench", "--producers", "2", "--nx", "8", "--ny", "8", "--steps", "2",
               "--frequency", frequency, "--out", str(out)])
+    assert e.value.code == 2
+    assert "frequency" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["run", "--steps", "0"], "--steps"),
+    (["run", "--nx", "3"], "grid must be at least 4x4"),
+    (["producer", "--endpoint", "h:1", "--frequency", "0"], "--frequency"),
+    (["producer", "--endpoint", "h:1", "--steps", "x"], "--steps"),
+    (["endpoint", "--producers", "0"], "--producers"),
+    (["bench", "--producers", "-1"], "--producers"),
+    (["bench", "--ny", "2"], "grid must be at least 4x4"),
+    (["weak-scale", "--producers", "1,x"], "--producers"),
+    (["weak-scale", "--producers", "2,0"], "--producers"),
+    (["weak-scale", "--producers", ","], "--producers"),
+    (["weak-scale", "--ny", "1"], "grid must be at least 4x4"),
+])
+def test_bad_input_is_a_usage_error_before_anything_starts(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--out", str(out)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# the attributes of a bad <analysis> element, and the start of the error they give
+BAD_DOCUMENTS = [
+    ('type="checkpoint" format="zip"', "checkpoint attribute format='zip': must be"),
+    ('type="render" width="0"', "render attribute width='0': must be"),
+    ('type="render" width="-3"', "render attribute width='-3': must be"),
+    ('type="render" width="abc"', "render attribute width='abc': invalid literal"),
+    ('type="render" height="0"', "render attribute height='0': must be"),
+    ('type="render" vmin="hot"', "render attribute vmin='hot': could not convert"),
+    ('type="render" vmax="x"', "render attribute vmax='x': could not convert"),
+    ('type="stats"', "stats analysis requires a 'path' attribute"),
+]
+
+
+@pytest.mark.parametrize("attrs,message", BAD_DOCUMENTS)
+def test_bad_attribute_is_rejected_alike_by_validate_config_and_run(tmp_path, capsys,
+                                                                     attrs, message):
+    p = tmp_path / "a.xml"
+    p.write_text(f'<sensei><analysis {attrs} dir="{tmp_path}/sink"/></sensei>')
+    assert main(["validate-config", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid: {message}")
+    with pytest.raises(ConfigError) as e:
+        main(["run", "--nx", "8", "--ny", "8", "--steps", "2", "--config", str(p),
+              "--out", str(tmp_path / "o")])
+    assert str(e.value).startswith(message)
+    assert not (tmp_path / "sink").exists()
+
+
+def test_unknown_render_field_validates_and_fails_every_trigger(tmp_path, capsys, caplog):
+    # the field name can only be checked against a snapshot: parsing takes it, and
+    # each trigger counts one sink failure while the run exits 0
+    p = tmp_path / "a.xml"
+    p.write_text(f'<sensei><analysis type="render" field="bogus" dir="{tmp_path}/img" '
+                 f'frequency="2"/></sensei>')
+    assert main(["validate-config", str(p)]) == 0
+    with caplog.at_level("WARNING", logger="nekmini.bridge"):
+        assert main(["run", "--nx", "8", "--ny", "8", "--steps", "6", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 0
+    error = "KeyError: \"no field named 'bogus'\""
+    assert [r.getMessage() for r in caplog.records] == [
+        f"sink render failed at step {n}: {error}" for n in (0, 2, 4, 6)]
+    assert list((tmp_path / "img").iterdir()) == []
+
+    br = initialize(load_config(str(p)))
+    snap = snapshot_of(init_state(SolverParams(nx=8, ny=8)), producer_id=0)
+    for n in range(7):
+        br.update(replace(snap, step=n))
+    (summary,) = br.finalize()
+    assert (summary.invocations, summary.failures, summary.bytes_written) == (4, 4, 0)
 
 
 def test_module_entry_point(tmp_path):

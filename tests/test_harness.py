@@ -386,6 +386,8 @@ class TestOrchestration:
         producers = [p.cmd for p in fake_popen if p.role == "producer"]
         assert len(producers) == 3
         for pid, cmd in enumerate(producers):
-            args = cli.build_parser().parse_args(cmd[3:])
+            parser = cli.build_parser()
+            args = parser.parse_args(cmd[3:])
             assert (args.id, args.endpoint) == (pid, "127.0.0.1:9")
-            assert cli._solver_params(args) == replace(solver, seed=solver.seed + pid)
+            run_cfg = cli._run_config(parser, args, bridge_config_path=None)
+            assert run_cfg.solver == replace(solver, seed=solver.seed + pid)

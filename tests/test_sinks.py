@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nekmini.bridge import AnalysisSpec, Bridge, BridgeConfig
+from nekmini.bridge import AnalysisSpec, Bridge, ConfigError, parse_config
 from nekmini.data_model import POINT, Block, FieldArray, Snapshot
 from nekmini.sinks import (
     DEFAULT_COLORMAP,
@@ -21,7 +21,6 @@ from nekmini.sinks import (
     checkpoint_filename,
     checkpoint_read,
     checkpoint_write,
-    make_sink,
     render,
     scalar_field,
     write_ppm,
@@ -337,7 +336,7 @@ class TestSinks:
     def test_checkpoint_sink_reports_exact_bytes(self, tmp_path):
         rng = np.random.default_rng(0)
         s = random_snapshot(rng)
-        sink = CheckpointSink({"dir": str(tmp_path / "ck")})
+        sink = CheckpointSink(dir=tmp_path / "ck")
         n = sink.consume(s)
         files = sorted((tmp_path / "ck").glob("*.vtk"))
         assert len(files) == 1
@@ -346,7 +345,7 @@ class TestSinks:
     def test_render_sink_default_two_images(self, tmp_path):
         rng = np.random.default_rng(0)
         s = random_snapshot(rng)
-        sink = RenderSink({"dir": str(tmp_path / "im"), "width": "16", "height": "16"})
+        sink = RenderSink(dir=tmp_path / "im", width=16, height=16)
         n = sink.consume(s)
         files = sorted(p.name for p in (tmp_path / "im").glob("*.ppm"))
         assert files == ["step000007_temperature.ppm", "step000007_velocity_mag.ppm"]
@@ -355,22 +354,24 @@ class TestSinks:
     def test_render_sink_explicit_field_and_range(self, tmp_path):
         rng = np.random.default_rng(0)
         s = random_snapshot(rng)
-        sink = RenderSink({
-            "dir": str(tmp_path / "im"), "field": "temperature",
-            "width": "8", "height": "8", "vmin": "0", "vmax": "1",
-        })
+        sink = RenderSink(dir=tmp_path / "im", width=8, height=8, field="temperature",
+                          vmin=0.0, vmax=1.0)
         sink.consume(s)
         assert [p.name for p in (tmp_path / "im").glob("*.ppm")] == ["step000007_temperature.ppm"]
 
     @pytest.mark.parametrize("size", [{"width": "0"}, {"height": "0"}, {"width": "-3"}])
     def test_render_sink_rejects_an_empty_image_at_construction(self, tmp_path, size):
-        with pytest.raises(ValueError, match="render size must be at least 1x1"):
-            RenderSink({"dir": str(tmp_path / "im"), **size})
+        ((name, value),) = size.items()
+        doc = f'<sensei><analysis type="render" dir="{tmp_path}/im" {name}="{value}"/></sensei>'
+        with pytest.raises(ConfigError,
+                           match=f"render attribute {name}='{value}': must be an integer >= 1"):
+            parse_config(doc)
+        assert not (tmp_path / "im").exists()
 
     def test_null_sink_counts_and_writes_nothing(self, tmp_path):
         # the bridge's summary counts the invocations; the sink only consumes
         rng = np.random.default_rng(0)
-        br = Bridge(BridgeConfig((AnalysisSpec("null", 1),)))
+        br = Bridge((AnalysisSpec("null", 1),))
         assert isinstance(br.sinks[0], NullSink)
         for step in (7, 8):
             br.update(random_snapshot(rng, step=step))
@@ -382,7 +383,7 @@ class TestSinks:
         rng = np.random.default_rng(0)
         s = random_snapshot(rng)
         path = tmp_path / "stats.csv"
-        sink = StatsSink({"path": str(path)})
+        sink = StatsSink(path=path)
         sink.consume(s)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "step,time,field,min,max,mean"
@@ -407,7 +408,7 @@ class TestSinks:
         blk = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 511, 0, 511, 0, 0),
                     (FieldArray("temperature", POINT, 1, view),))
         assert blk.fields[0].values is view  # adopted as it is
-        sink = StatsSink({"path": str(tmp_path / "stats.csv")})
+        sink = StatsSink(path=tmp_path / "stats.csv")
         sink.consume(Snapshot(time=0.0, step=0, producer_id=0, blocks=(blk,)))
         row = (tmp_path / "stats.csv").read_text().splitlines()[1]
         assert row == f"0,0,temperature,{vals.min():.17g},{vals.max():.17g},{vals.mean():.17g}"
@@ -415,19 +416,17 @@ class TestSinks:
     def test_stats_sink_appends_across_steps(self, tmp_path):
         rng = np.random.default_rng(0)
         path = tmp_path / "stats.csv"
-        sink = StatsSink({"path": str(path)})
+        sink = StatsSink(path=path)
         sink.consume(random_snapshot(rng, step=0))
         sink.consume(random_snapshot(rng, step=100))
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 3
 
-    def test_make_sink_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown sink kind"):
-            make_sink("movie", {})
-
     def test_checkpoint_sink_rejects_bad_format(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            CheckpointSink({"dir": str(tmp_path), "format": "hdf5"})
+        doc = f'<sensei><analysis type="checkpoint" dir="{tmp_path}/ck" format="hdf5"/></sensei>'
+        with pytest.raises(ConfigError, match="checkpoint attribute format='hdf5'"):
+            parse_config(doc)
+        assert not (tmp_path / "ck").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -447,5 +446,5 @@ def test_render_is_an_order_of_magnitude_smaller_at_scale(tmp_path):
     blk = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, ni - 1, 0, nj - 1, 0, 0), fields)
     s = Snapshot(time=0.0, step=0, producer_id=0, blocks=(blk,))
     _, ckpt_bytes = checkpoint_write(s, tmp_path)
-    img_bytes = RenderSink({"dir": str(tmp_path / "im")}).consume(s)
+    img_bytes = RenderSink(dir=tmp_path / "im").consume(s)
     assert img_bytes * 10 <= ckpt_bytes
