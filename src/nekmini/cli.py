@@ -8,12 +8,16 @@ Subcommands:
     weak-scale       weak scaling experiment over several producer counts
     validate-config  parse an analysis configuration and report problems
     report           aggregate timings CSVs into summary.csv + chart.svg
+
+The solver flags are SolverParams' fields, each with the field's default.
+A --config that validate-config rejects is a usage error, like a bad flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from nekmini import bridge as bridge_mod
@@ -23,26 +27,30 @@ from nekmini.solver import SolverParams
 
 
 def _add_solver_args(p: argparse.ArgumentParser):
-    p.add_argument("--nx", type=int, default=64)
-    p.add_argument("--ny", type=int, default=64)
-    p.add_argument("--rayleigh", type=float, default=1.0e5)
-    p.add_argument("--prandtl", type=float, default=0.7)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--amplitude", type=float, default=1.0e-3)
+    """One flag per SolverParams field; a field defaulting to None takes a float."""
+    for f in fields(SolverParams):
+        p.add_argument(f"--{f.name}", type=float if f.default is None else type(f.default),
+                       default=f.default)
+    p.set_defaults(parser=p)  # _run_config's usage errors print this subcommand's usage
 
 
-def _run_config(parser: argparse.ArgumentParser, args, **kw) -> harness.RunConfig:
+def _run_config(args, **kw) -> harness.RunConfig:
     """The run's settings; a solver flag that SolverParams rejects is a usage error."""
     try:
-        solver = SolverParams(
-            nx=args.nx, ny=args.ny, rayleigh=args.rayleigh, prandtl=args.prandtl,
-            dt=args.dt, seed=args.seed, perturbation_amplitude=args.amplitude,
-        )
+        solver = SolverParams(**{f.name: getattr(args, f.name) for f in fields(SolverParams)})
     except ValueError as e:  # a grid below 4x4, a non-positive dt, ...
-        parser.error(str(e))
+        args.parser.error(str(e))
     return harness.RunConfig(solver=solver, steps=args.steps, output_dir=Path(args.out),
                              label=args.label, **kw)
+
+
+def analysis_config(path: str) -> str:
+    """argparse type of --config: the path of a document validate-config accepts."""
+    try:
+        bridge_mod.load_config(path)
+    except (OSError, bridge_mod.ConfigError) as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
+    return path
 
 
 def counts(text: str) -> list[int]:
@@ -56,18 +64,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="in situ benchmark run")
     _add_solver_args(p)
-    p.add_argument("--config", help="analysis XML (omit for the empty baseline)")
+    p.add_argument("--config", type=analysis_config, help="analysis XML (default: no sinks)")
     p.add_argument("--steps", type=positive_int, default=3000)
     p.add_argument("--out", required=True)
     p.add_argument("--label", default="insitu")
 
     p = sub.add_parser("endpoint", help="in transit staging endpoint")
-    p.add_argument("--config", help="analysis XML (omit for the empty baseline)")
+    p.add_argument("--config", type=analysis_config, help="analysis XML (default: no sinks)")
     p.add_argument("--listen", default="127.0.0.1:0")
     p.add_argument("--producers", type=positive_int, default=4)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="reports, and endpoint.addr once listening")
     p.add_argument("--label", default="intransit")
-    p.add_argument("--port-file", help="write the bound host:port here once listening")
 
     p = sub.add_parser("producer", help="in transit producer")
     _add_solver_args(p)
@@ -80,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="orchestrated in transit benchmark")
     _add_solver_args(p)
-    p.add_argument("--config", help="analysis XML for the endpoint")
+    p.add_argument("--config", type=analysis_config, help="analysis XML for the endpoint")
     p.add_argument("--producers", type=positive_int, default=4)
     p.add_argument("--steps", type=positive_int, default=3000)
     p.add_argument("--frequency", type=positive_int, default=100)
@@ -89,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weak-scale", help="weak scaling experiment")
     _add_solver_args(p)
-    p.add_argument("--config", help="analysis XML for the endpoint")
+    p.add_argument("--config", type=analysis_config, help="analysis XML for the endpoint")
     p.add_argument("--producers", type=counts, default="1,2,4", help="comma-separated counts")
     p.add_argument("--steps", type=positive_int, default=500)
     p.add_argument("--frequency", type=positive_int, default=100)
@@ -107,32 +114,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     if args.command == "run":
-        out = harness.run_insitu(_run_config(parser, args, bridge_config_path=args.config))
+        out = harness.run_insitu(_run_config(args, bridge_config_path=args.config))
         print(f"in situ run complete: {out}")
 
     elif args.command == "endpoint":
         out = harness.run_endpoint(args.out, args.config, args.label, args.producers,
-                                   listen=args.listen, port_file=args.port_file)
+                                   listen=args.listen)
         print(f"endpoint finished: {out}")
 
     elif args.command == "producer":
-        cfg = _run_config(parser, args, bridge_config_path=None, frequency=args.frequency,
+        cfg = _run_config(args, bridge_config_path=None, frequency=args.frequency,
                           endpoint_address=args.endpoint, producer_id=args.id)
         out = harness.run_producer(cfg)
         print(f"producer {args.id} finished: {out}")
 
     elif args.command == "bench":
-        cfg = _run_config(parser, args, bridge_config_path=args.config,
+        cfg = _run_config(args, bridge_config_path=args.config,
                           producers=args.producers, frequency=args.frequency)
         out = harness.run_intransit(cfg)
         print(f"in transit benchmark complete: {out}")
 
     elif args.command == "weak-scale":
-        cfg = _run_config(parser, args, bridge_config_path=args.config,
+        cfg = _run_config(args, bridge_config_path=args.config,
                           frequency=args.frequency)
         out = harness.weak_scaling(cfg, args.producers)
         print(f"weak scaling table: {out / 'scaling.csv'}")

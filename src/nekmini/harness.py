@@ -22,9 +22,10 @@ The "Original" baseline configuration is an empty bridge config: the
 loop, the snapshot copy, and the measurement all still run, only the
 sinks are absent.
 
-Every setting of a role arrives through its CLI flags: the orchestrator
-passes each producer its endpoint address and every SolverParams field.
-Nothing is read from the environment.
+Every setting of a role arrives through its CLI flags; nothing is read
+from the environment. The orchestrator reads the endpoint's address from
+its endpoint.addr, waiting at most transport.STEP_TIMEOUT as for any peer,
+and passes each producer that address and every SolverParams field.
 """
 
 from __future__ import annotations
@@ -32,16 +33,13 @@ from __future__ import annotations
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from nekmini import bridge as bridge_mod
-from nekmini import reporting
+from nekmini import reporting, transport
 from nekmini.reporting import MemoryRecord, TimingRecord
 from nekmini.solver import SolverParams, init_state, snapshot_of, step
-from nekmini.transport import Endpoint, ProducerConnection
-
-ENDPOINT_EXIT_TIMEOUT = 120.0  # s the orchestrator waits for the endpoint after its producers
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ def run_producer(cfg: RunConfig) -> Path:
         raise ValueError("no endpoint address")
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    conn = ProducerConnection(cfg.endpoint_address, cfg.producer_id)
+    conn = transport.ProducerConnection(cfg.endpoint_address, cfg.producer_id)
 
     def ship(snap):
         conn.send_step(snap)
@@ -198,19 +196,18 @@ def run_producer(cfg: RunConfig) -> Path:
 
 
 def run_endpoint(output_dir: str | Path, bridge_config_path: str | None, label: str,
-                 producers: int, listen: str = "127.0.0.1:0",
-                 port_file: str | Path | None = None) -> Path:
+                 producers: int, listen: str = "127.0.0.1:0") -> Path:
     """In transit endpoint: runs the configured bridge behind the staging
-    transport. Writes the bound address to port_file once listening."""
+    transport. Publishes the bound host:port as endpoint.addr in
+    output_dir once listening."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     br = bridge_mod.initialize(bridge_mod.load_config(bridge_config_path)
                                if bridge_config_path is not None else ())
-    ep = Endpoint(listen, producers, br)
-    if port_file:
-        tmp = Path(str(port_file) + ".tmp")
-        tmp.write_text(ep.address)
-        tmp.rename(port_file)  # atomic publish
+    ep = transport.Endpoint(listen, producers, br)
+    tmp = out / "endpoint.addr.tmp"
+    tmp.write_text(ep.address)
+    tmp.rename(out / "endpoint.addr")  # atomic publish
     summary = ep.serve()
     _write_reports(out, label, "endpoint", [], br.finalize(),
                    {"endpoint:received": summary.bytes_received})
@@ -225,13 +222,12 @@ def run_endpoint(output_dir: str | Path, bridge_config_path: str | None, label: 
     return out
 
 
-def _wait_for_file(path: Path, proc: subprocess.Popen | None = None,
-                   timeout: float = 30.0) -> str:
-    deadline = time.monotonic() + timeout
+def _wait_for_file(path: Path, proc: subprocess.Popen) -> str:
+    deadline = time.monotonic() + transport.STEP_TIMEOUT
     while time.monotonic() < deadline:
         if path.exists():
             return path.read_text().strip()
-        if proc is not None and proc.poll() is not None:
+        if proc.poll() is not None:
             raise RuntimeError(f"endpoint exited with {proc.returncode} before listening")
         time.sleep(0.05)
     raise TimeoutError(f"endpoint never published its address to {path}")
@@ -242,27 +238,24 @@ def run_intransit(cfg: RunConfig) -> Path:
     processes, waits for them, merges the reports."""
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    port_file = out / "endpoint.addr"
-    if port_file.exists():
-        port_file.unlink()
+    address_file = out / "endpoint" / "endpoint.addr"
+    address_file.unlink(missing_ok=True)  # a previous run's, naming a dead endpoint
 
     base_cmd = [sys.executable, "-m", "nekmini"]
-    solver = cfg.solver
     ep_cmd = base_cmd + [
         "endpoint",
-        "--out", str(out / "endpoint"),
+        "--out", str(address_file.parent),
         "--producers", str(cfg.producers),
-        "--listen", "127.0.0.1:0",
-        "--port-file", str(port_file),
         "--label", cfg.label,
     ]
     if cfg.bridge_config_path:
         ep_cmd += ["--config", str(cfg.bridge_config_path)]
     ep_proc = subprocess.Popen(ep_cmd)
     try:
-        address = _wait_for_file(port_file, ep_proc)
+        address = _wait_for_file(address_file, ep_proc)
         producer_procs = []
         for pid in range(cfg.producers):
+            solver = replace(cfg.solver, seed=cfg.solver.seed + pid)
             cmd = base_cmd + [
                 "producer",
                 "--endpoint", address,
@@ -271,22 +264,19 @@ def run_intransit(cfg: RunConfig) -> Path:
                 "--frequency", str(cfg.frequency),
                 "--out", str(out / f"producer_{pid}"),
                 "--label", cfg.label,
-                "--nx", str(solver.nx), "--ny", str(solver.ny),
-                "--rayleigh", str(solver.rayleigh), "--prandtl", str(solver.prandtl),
-                "--dt", str(float(solver.dt)),
-                "--seed", str(solver.seed + pid),
-                "--amplitude", str(solver.perturbation_amplitude),
             ]
+            for f in fields(solver):
+                cmd += [f"--{f.name}", str(getattr(solver, f.name))]
             producer_procs.append(subprocess.Popen(cmd))
         failures = []
         for pid, proc in enumerate(producer_procs):
             if proc.wait() != 0:
                 failures.append(f"producer {pid} exited with {proc.returncode}")
         try:
-            if ep_proc.wait(timeout=ENDPOINT_EXIT_TIMEOUT) != 0:
+            if ep_proc.wait(timeout=transport.STEP_TIMEOUT) != 0:
                 failures.append(f"endpoint exited with {ep_proc.returncode}")
         except subprocess.TimeoutExpired:
-            failures.append(f"endpoint did not exit within {ENDPOINT_EXIT_TIMEOUT:g} s")
+            failures.append(f"endpoint did not exit within {transport.STEP_TIMEOUT:g} s")
         if failures:
             raise RuntimeError("; ".join(failures))
     finally:

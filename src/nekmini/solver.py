@@ -56,15 +56,15 @@ class SolverParams:
     prandtl: float = 0.7
     dt: float | None = None  # None: use stable_dt()
     seed: int = 0
-    perturbation_amplitude: float = 1.0e-3
+    amplitude: float = 1.0e-3  # of the seeded random temperature perturbation
 
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ValueError(f"grid must be at least 4x4, got {self.nx}x{self.ny}")
         if self.rayleigh <= 0 or self.prandtl <= 0:
             raise ValueError("rayleigh and prandtl must be positive")
-        if self.perturbation_amplitude < 0:
-            raise ValueError("perturbation_amplitude must be non-negative")
+        if self.amplitude < 0:
+            raise ValueError("amplitude must be non-negative")
         if self.dt is None:
             object.__setattr__(self, "dt", stable_dt(self))
         if self.dt <= 0:
@@ -125,9 +125,9 @@ def init_state(p: SolverParams) -> SolverState:
     v = np.zeros((ncy + 1, ncx))
     yc = (np.arange(ncy) + 0.5) * p.dy
     temperature = np.tile((1.0 - yc)[:, None], (1, ncx))
-    if p.perturbation_amplitude > 0:
+    if p.amplitude > 0:
         rng = np.random.default_rng(p.seed)
-        temperature += p.perturbation_amplitude * (2.0 * rng.random((ncy, ncx)) - 1.0)
+        temperature += p.amplitude * (2.0 * rng.random((ncy, ncx)) - 1.0)
     pressure = np.zeros((ncy, ncx))
     return SolverState(u, v, temperature, pressure, time=0.0, step=0, dx=p.dx, dy=p.dy)
 

@@ -423,7 +423,7 @@ def test_criterion_7_solver_physics(convection_run):
     div_ok = convection_run["max_div_2000"] <= 1e-8
 
     # (b) conduction equilibrium with zero perturbation
-    p0 = SolverParams(nx=32, ny=32, rayleigh=1e6, perturbation_amplitude=0.0)
+    p0 = SolverParams(nx=32, ny=32, rayleigh=1e6, amplitude=0.0)
     s0 = init_state(p0)
     s = s0
     for _ in range(200):
@@ -445,7 +445,7 @@ def test_criterion_7_solver_physics(convection_run):
     decay_ok = ke[2000] < ke[200]
 
     # (d) Nusselt number: exactly 1 in conduction, > 1 after convection
-    nu_cond = nusselt(init_state(SolverParams(perturbation_amplitude=0.0)))
+    nu_cond = nusselt(init_state(SolverParams(amplitude=0.0)))
     nu_conv = nusselt(convection_run["final"])
     nu_ok = nu_cond == 1.0 and nu_conv > 1.0
 

@@ -23,7 +23,7 @@ CATALYST_DOC = """<sensei>
 
 
 def make_snapshot(step_no=0):
-    p = SolverParams(nx=8, ny=8, perturbation_amplitude=1e-3)
+    p = SolverParams(nx=8, ny=8, amplitude=1e-3)
     s = init_state(p)
     for _ in range(step_no):
         s = step(s, p)
@@ -152,7 +152,7 @@ def test_finalize_totals_match_triggers_and_files(tmp_path):
         f'<analysis type="null" frequency="2"/></sensei>'
     )
     br = Bridge(cfg)
-    p = SolverParams(nx=8, ny=8, perturbation_amplitude=1e-3)
+    p = SolverParams(nx=8, ny=8, amplitude=1e-3)
     s = init_state(p)
     t0 = time.perf_counter()
     for _ in range(20):

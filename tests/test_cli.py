@@ -1,14 +1,16 @@
 """CLI surface tests (argument parsing plus the lightweight subcommands)."""
 
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 from nekmini import reporting
 from nekmini.bridge import ConfigError, initialize, load_config
-from nekmini.cli import build_parser, main
+from nekmini.cli import _run_config, build_parser, main
 from nekmini.reporting import TimingRecord
 from nekmini.solver import SolverParams, init_state, snapshot_of
 
@@ -20,8 +22,19 @@ def test_parser_requires_subcommand():
 
 def test_run_defaults():
     args = build_parser().parse_args(["run", "--out", "x"])
-    assert (args.nx, args.ny, args.steps, args.label) == (64, 64, 3000, "insitu")
+    assert (args.steps, args.label) == (3000, "insitu")
     assert args.config is None
+    # SolverParams is the one declaration of the solver settings and their defaults
+    for argv in (["run"], ["producer", "--endpoint", "h:1"], ["bench"], ["weak-scale"]):
+        args = build_parser().parse_args(argv + ["--out", "x"])
+        assert _run_config(args, bridge_config_path=None).solver == SolverParams(), argv
+
+
+def test_readme_solver_flag_list_matches_the_solver_params_fields():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n")[1].split("\n## ")[0]
+    flags = re.search(r"Solver flags: `([^`]*)`", section).group(1).split()
+    assert flags == [f"--{f.name}" for f in fields(SolverParams)]
 
 
 def test_producer_requires_endpoint(capsys):
@@ -103,6 +116,7 @@ def test_bad_input_is_a_usage_error_before_anything_starts(tmp_path, capsys, arg
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
+    assert err.startswith(f"usage: nekmini {argv[0]} ")  # the subcommand's usage, not the top's
     assert not out.exists()
 
 
@@ -126,10 +140,18 @@ def test_bad_attribute_is_rejected_alike_by_validate_config_and_run(tmp_path, ca
     p.write_text(f'<sensei><analysis {attrs} dir="{tmp_path}/sink"/></sensei>')
     assert main(["validate-config", str(p)]) == 1
     assert capsys.readouterr().err.startswith(f"invalid: {message}")
-    with pytest.raises(ConfigError) as e:
-        main(["run", "--nx", "8", "--ny", "8", "--steps", "2", "--config", str(p),
-              "--out", str(tmp_path / "o")])
-    assert str(e.value).startswith(message)
+    with pytest.raises(ConfigError):
+        load_config(str(p))
+    # each command that takes --config rejects it while parsing its command line,
+    # before it creates --out or the sink's directory, or spawns anything
+    for command in ("run", "endpoint", "bench", "weak-scale"):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: nekmini {command} ")
+        assert f"error: argument --config: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
     assert not (tmp_path / "sink").exists()
 
 

@@ -39,7 +39,9 @@ class FakeProcess:
         self.returncode = None
         self.killed = False
         if self.role == "endpoint":
-            Path(cmd[cmd.index("--port-file") + 1]).write_text("127.0.0.1:9")
+            out = Path(cmd[cmd.index("--out") + 1])
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "endpoint.addr").write_text("127.0.0.1:9")
 
     def poll(self):
         return self.returncode
@@ -215,22 +217,21 @@ class TestIntransitRoles:
         monkeypatch.setattr(transport, "STEP_TIMEOUT", 30.0)
         stats = tmp_path / "stats.csv"
         cfg_path = write_config(tmp_path, f'<analysis type="stats" frequency="1" path="{stats}"/>')
-        port_file = tmp_path / "addr"
+        address_file = tmp_path / "ep" / "endpoint.addr"
         result = {}
 
         def serve():
-            result["out"] = run_endpoint(tmp_path / "ep", cfg_path, "t", 1, "127.0.0.1:0",
-                                         port_file)
+            result["out"] = run_endpoint(tmp_path / "ep", cfg_path, "t", 1, "127.0.0.1:0")
 
         t = threading.Thread(target=serve, daemon=True)
         t.start()
         deadline = 30.0
         import time
         t0 = time.monotonic()
-        while not port_file.exists():
+        while not address_file.exists():
             assert time.monotonic() - t0 < deadline
             time.sleep(0.02)
-        address = port_file.read_text().strip()
+        address = address_file.read_text().strip()
 
         prod_cfg = RunConfig(small_solver(), 4, None, tmp_path / "p0", "t", frequency=2,
                              endpoint_address=address, producer_id=0)
@@ -364,6 +365,17 @@ class TestOrchestration:
             times = {int(r["step"]): float(r["time"]) for r in csv.DictReader(f)}
         assert times[1] == 1e-6
 
+    def test_run_intransit_ignores_a_previous_runs_endpoint_address(self, tmp_path):
+        # every run leaves endpoint.addr behind, naming an endpoint that has exited;
+        # the next run into that --out reads its own endpoint's address
+        stale = tmp_path / "out" / "endpoint" / "endpoint.addr"
+        stale.parent.mkdir(parents=True)
+        stale.write_text("127.0.0.1:1")
+        cfg = RunConfig(small_solver(), 2, None, tmp_path / "out", "x", producers=1, frequency=1)
+        out = run_intransit(cfg)
+        assert "steps_completed=3" in (out / "endpoint" / "endpoint_summary.txt").read_text()
+        assert stale.read_text() != "127.0.0.1:1"
+
     def test_run_intransit_names_failed_producer_when_endpoint_hangs(self, tmp_path,
                                                                    fake_popen):
         cfg = RunConfig(small_solver(), 2, None, tmp_path / "out", "x", producers=1, frequency=1)
@@ -386,8 +398,7 @@ class TestOrchestration:
         producers = [p.cmd for p in fake_popen if p.role == "producer"]
         assert len(producers) == 3
         for pid, cmd in enumerate(producers):
-            parser = cli.build_parser()
-            args = parser.parse_args(cmd[3:])
+            args = cli.build_parser().parse_args(cmd[3:])
             assert (args.id, args.endpoint) == (pid, "127.0.0.1:9")
-            run_cfg = cli._run_config(parser, args, bridge_config_path=None)
+            run_cfg = cli._run_config(args, bridge_config_path=None)
             assert run_cfg.solver == replace(solver, seed=solver.seed + pid)

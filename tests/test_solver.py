@@ -21,7 +21,7 @@ from nekmini.solver import (
 
 def small_params(**kw):
     defaults = dict(nx=16, ny=16, rayleigh=1e4, prandtl=0.7,
-                    perturbation_amplitude=1e-3, seed=7)
+                    amplitude=1e-3, seed=7)
     defaults.update(kw)
     return SolverParams(**defaults)
 
@@ -32,7 +32,7 @@ def test_too_small_grid_rejected():
 
 
 def test_zero_amplitude_gives_exact_conduction_profile():
-    p = small_params(perturbation_amplitude=0.0)
+    p = small_params(amplitude=0.0)
     s = init_state(p)
     yc = (np.arange(p.ny - 1) + 0.5) * p.dy
     assert np.array_equal(s.temperature, np.tile((1.0 - yc)[:, None], (1, p.nx)))
@@ -76,7 +76,7 @@ def test_temperature_respects_maximum_principle():
 
 def test_conduction_equilibrium_is_fixed_point():
     # with no horizontal gradient the buoyant column is absorbed by pressure
-    p = small_params(rayleigh=1e6, perturbation_amplitude=0.0)
+    p = small_params(rayleigh=1e6, amplitude=0.0)
     s0 = init_state(p)
     s = s0
     for _ in range(100):
@@ -140,7 +140,7 @@ def test_projection_that_reaches_tolerance_on_the_last_iteration_passes(monkeypa
 
 
 def test_nusselt_conduction_state_is_exactly_one():
-    p = small_params(perturbation_amplitude=0.0)
+    p = small_params(amplitude=0.0)
     assert nusselt(init_state(p)) == 1.0
 
 
@@ -183,7 +183,7 @@ def test_snapshot_tiling_offset():
 def test_subcritical_kinetic_energy_decays():
     # below the convection threshold the seeded perturbation dies out
     p = SolverParams(nx=32, ny=32, rayleigh=1e3, prandtl=0.7,
-                     perturbation_amplitude=1e-3, seed=3)
+                     amplitude=1e-3, seed=3)
     s = init_state(p)
     ke_early = None
     for i in range(1, 2001):

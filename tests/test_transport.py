@@ -103,15 +103,14 @@ def connect(ep, pid):
 
 def start_run_endpoint(out, k):
     """run_endpoint with no analysis in a thread; returns its address and thread."""
-    port_file = out / "addr"
-    t = threading.Thread(target=run_endpoint, args=(out / "ep", None, "t", k),
-                         kwargs=dict(port_file=port_file), daemon=True)
+    address_file = out / "ep" / "endpoint.addr"
+    t = threading.Thread(target=run_endpoint, args=(out / "ep", None, "t", k), daemon=True)
     t.start()
     deadline = time.monotonic() + 10
-    while not port_file.exists():
+    while not address_file.exists():
         assert time.monotonic() < deadline
         time.sleep(0.02)
-    return port_file.read_text(), t
+    return address_file.read_text(), t
 
 
 def test_parse_address():
