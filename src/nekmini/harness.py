@@ -33,7 +33,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from nekmini import bridge as bridge_mod
@@ -211,13 +211,9 @@ def run_endpoint(output_dir: str | Path, bridge_config_path: str | None, label: 
     summary = ep.serve()
     _write_reports(out, label, "endpoint", [], br.finalize(),
                    {"endpoint:received": summary.bytes_received})
-    lines = [
-        f"steps_completed={summary.steps_completed}",
-        f"incomplete_steps={summary.incomplete_steps}",
-        f"bytes_received={summary.bytes_received}",
-        f"producers_seen={summary.producers_seen}",
-        f"rejected_connections={summary.rejected_connections}",
-    ] + [f"error={e}" for e in summary.errors]
+    counts = asdict(summary)
+    errors = counts.pop("errors")
+    lines = [f"{name}={value}" for name, value in counts.items()] + [f"error={e}" for e in errors]
     (out / "endpoint_summary.txt").write_text("\n".join(lines) + "\n")
     return out
 
@@ -273,8 +269,12 @@ def run_intransit(cfg: RunConfig) -> Path:
             if proc.wait() != 0:
                 failures.append(f"producer {pid} exited with {proc.returncode}")
         try:
-            if ep_proc.wait(timeout=transport.STEP_TIMEOUT) != 0:
-                failures.append(f"endpoint exited with {ep_proc.returncode}")
+            if len(failures) == len(producer_procs):
+                code = ep_proc.poll()  # no producer can reach it: the finally kills it
+            else:
+                code = ep_proc.wait(timeout=transport.STEP_TIMEOUT)
+            if code:
+                failures.append(f"endpoint exited with {code}")
         except subprocess.TimeoutExpired:
             failures.append(f"endpoint did not exit within {transport.STEP_TIMEOUT:g} s")
         if failures:
@@ -282,6 +282,7 @@ def run_intransit(cfg: RunConfig) -> Path:
     finally:
         if ep_proc.poll() is None:
             ep_proc.kill()
+            ep_proc.wait()
 
     reporting.report(out, out)
     return out

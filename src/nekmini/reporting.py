@@ -1,27 +1,22 @@
-"""CSV schemas and deterministic chart output for the benchmark harness.
+"""CSV tables and deterministic SVG charts for the benchmark harness.
 
-Emitted files (headers are part of the external contract):
-
-    timings.csv  label,step,phase,seconds
-    memory.csv   label,role,peak_rss_bytes
-    summary.csv  label,phase,mean_s,stddev_s,total_bytes
-    scaling.csv  producers,mean_time_per_step_s,stddev_s,peak_rss_mean_bytes
+Each table (timings.csv, memory.csv, summary.csv, scaling.csv) has one
+header, its `*_HEADER`, which is part of the external contract: the
+writer writes it through `_write_csv` and the reader checks it through
+`_read_csv`. The timings and memory headers are the field names of their
+record types. summary.csv's per-step means cover steps >= 1.
 
 Charts are plain SVG with fixed dimensions, text-as-text and no
-timestamps, so identical inputs produce byte-identical files.
+timestamps, so identical inputs produce byte-identical files. Both draw
+their marks in the one frame that `_svg` draws.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-
-TIMINGS_HEADER = ["label", "step", "phase", "seconds"]
-MEMORY_HEADER = ["label", "role", "peak_rss_bytes"]
-SUMMARY_HEADER = ["label", "phase", "mean_s", "stddev_s", "total_bytes"]
-SCALING_HEADER = ["producers", "mean_time_per_step_s", "stddev_s", "peak_rss_mean_bytes"]
 
 
 @dataclass(frozen=True)
@@ -39,45 +34,51 @@ class MemoryRecord:
     peak_rss_bytes: int
 
 
-def write_timings(path: str | Path, records: list[TimingRecord]):
+TIMINGS_HEADER = [f.name for f in fields(TimingRecord)]
+MEMORY_HEADER = [f.name for f in fields(MemoryRecord)]
+SUMMARY_HEADER = ["label", "phase", "mean_s", "stddev_s", "total_bytes"]
+SCALING_HEADER = ["producers", "mean_time_per_step_s", "stddev_s", "peak_rss_mean_bytes"]
+
+
+def _write_csv(path: str | Path, header: list[str], rows):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(TIMINGS_HEADER)
-        for r in records:
-            w.writerow([r.label, r.step, r.phase, f"{r.seconds:.9f}"])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _read_csv(path: str | Path, header: list[str]) -> list[list[str]]:
+    """The rows of a table after its header, which must be `header`."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    if not rows or rows[0] != header:
+        raise ValueError(f"{path}: expected header {','.join(header)}")
+    return rows[1:]
+
+
+def write_timings(path: str | Path, records: list[TimingRecord]):
+    _write_csv(path, TIMINGS_HEADER,
+               ([r.label, r.step, r.phase, f"{r.seconds:.9f}"] for r in records))
 
 
 def read_timings(path: str | Path) -> list[TimingRecord]:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != TIMINGS_HEADER:
-        raise ValueError(f"{path}: expected header {','.join(TIMINGS_HEADER)}")
-    return [TimingRecord(r[0], int(r[1]), r[2], float(r[3])) for r in rows[1:]]
+    return [TimingRecord(label, int(step), phase, float(seconds))
+            for label, step, phase, seconds in _read_csv(path, TIMINGS_HEADER)]
 
 
 def write_memory(path: str | Path, records: list[MemoryRecord]):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(MEMORY_HEADER)
-        for r in records:
-            w.writerow([r.label, r.role, r.peak_rss_bytes])
+    _write_csv(path, MEMORY_HEADER, map(astuple, records))
 
 
 def read_memory(path: str | Path) -> list[MemoryRecord]:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != MEMORY_HEADER:
-        raise ValueError(f"{path}: expected header {','.join(MEMORY_HEADER)}")
-    return [MemoryRecord(r[0], r[1], int(r[2])) for r in rows[1:]]
+    return [MemoryRecord(label, role, int(rss))
+            for label, role, rss in _read_csv(path, MEMORY_HEADER)]
 
 
 def write_scaling(path: str | Path, rows: list[tuple[int, float, float, int]]):
     """Rows of (producers, mean_s, stddev_s, peak_rss_mean_bytes)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(SCALING_HEADER)
-        for p, mean, sd, rss in rows:
-            w.writerow([p, f"{mean:.9f}", f"{sd:.9f}", rss])
+    _write_csv(path, SCALING_HEADER,
+               ([p, f"{mean:.9f}", f"{sd:.9f}", rss] for p, mean, sd, rss in rows))
 
 
 def mean_std(values: list[float]) -> tuple[float, float]:
@@ -90,33 +91,34 @@ def mean_std(values: list[float]) -> tuple[float, float]:
 
 
 def aggregate(records: list[TimingRecord], bytes_by_key: dict[tuple[str, str], int] | None = None):
-    """Group timings by (label, phase) -> (mean_s, stddev_s, total_bytes)."""
+    """Group timings by (label, phase) -> (mean_s, stddev_s, total_bytes).
+
+    Mean and stddev are over a phase's steps >= 1, leaving out step 0's
+    start-up rendezvous; a phase with no such row (a step -1 total, a
+    phase timed only at step 0) is averaged over all of its rows.
+    """
     if not records:
         raise ValueError("no data")
-    groups: dict[tuple[str, str], list[float]] = {}
+    groups: dict[tuple[str, str], list[TimingRecord]] = {}
     for r in records:
-        groups.setdefault((r.label, r.phase), []).append(r.seconds)
+        groups.setdefault((r.label, r.phase), []).append(r)
     out = {}
     for key in sorted(groups):
-        m, sd = mean_std(groups[key])
+        rows = groups[key]
+        m, sd = mean_std([r.seconds for r in rows if r.step >= 1] or [r.seconds for r in rows])
         out[key] = (m, sd, (bytes_by_key or {}).get(key, 0))
     return out
 
 
 def write_summary(path: str | Path, agg: dict[tuple[str, str], tuple[float, float, int]]):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(SUMMARY_HEADER)
-        for (label, phase), (m, sd, nbytes) in sorted(agg.items()):
-            w.writerow([label, phase, f"{m:.9f}", f"{sd:.9f}", nbytes])
+    _write_csv(path, SUMMARY_HEADER,
+               ([label, phase, f"{m:.9f}", f"{sd:.9f}", nbytes]
+                for (label, phase), (m, sd, nbytes) in sorted(agg.items())))
 
 
 def read_summary(path: str | Path) -> dict[tuple[str, str], tuple[float, float, int]]:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != SUMMARY_HEADER:
-        raise ValueError(f"{path}: expected header {','.join(SUMMARY_HEADER)}")
-    return {(r[0], r[1]): (float(r[2]), float(r[3]), int(r[4])) for r in rows[1:]}
+    return {(label, phase): (float(m), float(sd), int(nbytes))
+            for label, phase, m, sd, nbytes in _read_csv(path, SUMMARY_HEADER)}
 
 
 # ---------------------------------------------------------------------------
@@ -125,17 +127,25 @@ def read_summary(path: str | Path) -> dict[tuple[str, str], tuple[float, float, 
 
 _W, _H = 640, 360
 _ML, _MR, _MT, _MB = 70, 20, 30, 80
+_PLOT_W, _PLOT_H = _W - _ML - _MR, _H - _MT - _MB
 
 _PALETTE = ["#3b4cc0", "#b40426", "#2e8b57", "#b8860b", "#6a3d9a", "#444444"]
 
 
-def _svg_header(title: str) -> list[str]:
-    return [
+def _svg(title: str, marks: list[str], labels: list[str]) -> str:
+    """One chart: the canvas and title, `marks`, both axes, then `labels`."""
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="11">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:g}" y="18" text-anchor="middle" font-size="14">{title}</text>',
-    ]
+        *marks,
+        f'<line x1="{_ML}" y1="{_MT + _PLOT_H}" x2="{_W - _MR}" y2="{_MT + _PLOT_H}" '
+        f'stroke="black"/>',
+        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + _PLOT_H}" stroke="black"/>',
+        *labels,
+        "</svg>",
+    ]) + "\n"
 
 
 def bar_chart_svg(agg: dict[tuple[str, str], tuple[float, float, int]], title: str) -> str:
@@ -144,36 +154,24 @@ def bar_chart_svg(agg: dict[tuple[str, str], tuple[float, float, int]], title: s
         raise ValueError("no data")
     keys = sorted(agg)
     vmax = max(v[0] for v in agg.values()) or 1.0
-    plot_w = _W - _ML - _MR
-    plot_h = _H - _MT - _MB
-    bw = plot_w / len(keys)
-    parts = _svg_header(title)
+    bw = _PLOT_W / len(keys)
     phases = sorted({phase for _, phase in keys})
     color = {p: _PALETTE[i % len(_PALETTE)] for i, p in enumerate(phases)}
+    marks = []
     for i, key in enumerate(keys):
         mean = agg[key][0]
-        h = plot_h * mean / vmax
+        h = _PLOT_H * mean / vmax
         x = _ML + i * bw + 0.15 * bw
-        y = _MT + plot_h - h
-        parts.append(
-            f'<rect x="{x:.1f}" y="{y:.1f}" width="{0.7 * bw:.1f}" height="{h:.1f}" '
-            f'fill="{color[key[1]]}"/>'
-        )
+        y = _MT + _PLOT_H - h
         lx = _ML + (i + 0.5) * bw
-        parts.append(
-            f'<text x="{lx:.1f}" y="{_MT + plot_h + 12}" text-anchor="end" '
-            f'transform="rotate(-35 {lx:.1f} {_MT + plot_h + 12})">{key[0]}/{key[1]}</text>'
-        )
-        parts.append(
-            f'<text x="{lx:.1f}" y="{y - 4:.1f}" text-anchor="middle">{mean:.2e}</text>'
-        )
-    parts.append(
-        f'<line x1="{_ML}" y1="{_MT + plot_h}" x2="{_W - _MR}" y2="{_MT + plot_h}" stroke="black"/>'
-    )
-    parts.append(f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + plot_h}" stroke="black"/>')
-    parts.append(f'<text x="12" y="{_MT + 8}">{vmax:.2e}s</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        marks += [
+            f'<rect x="{x:.1f}" y="{y:.1f}" width="{0.7 * bw:.1f}" height="{h:.1f}" '
+            f'fill="{color[key[1]]}"/>',
+            f'<text x="{lx:.1f}" y="{_MT + _PLOT_H + 12}" text-anchor="end" '
+            f'transform="rotate(-35 {lx:.1f} {_MT + _PLOT_H + 12})">{key[0]}/{key[1]}</text>',
+            f'<text x="{lx:.1f}" y="{y - 4:.1f}" text-anchor="middle">{mean:.2e}</text>',
+        ]
+    return _svg(title, marks, [f'<text x="12" y="{_MT + 8}">{vmax:.2e}s</text>'])
 
 
 def line_chart_svg(points: list[tuple[float, float]], title: str, xlabel: str, ylabel: str) -> str:
@@ -183,30 +181,25 @@ def line_chart_svg(points: list[tuple[float, float]], title: str, xlabel: str, y
     xs, ys = zip(*points)
     xmax = max(xs) or 1.0
     ymax = max(ys) or 1.0
-    plot_w = _W - _ML - _MR
-    plot_h = _H - _MT - _MB
 
     def px(x):
-        return _ML + plot_w * x / xmax
+        return _ML + _PLOT_W * x / xmax
 
     def py(y):
-        return _MT + plot_h * (1 - y / ymax)
+        return _MT + _PLOT_H * (1 - y / ymax)
 
-    parts = _svg_header(title)
     coords = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in points)
-    parts.append(f'<polyline points="{coords}" fill="none" stroke="{_PALETTE[0]}" stroke-width="2"/>')
+    marks = [f'<polyline points="{coords}" fill="none" stroke="{_PALETTE[0]}" stroke-width="2"/>']
     for x, y in points:
-        parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="3" fill="{_PALETTE[0]}"/>')
-        parts.append(f'<text x="{px(x):.1f}" y="{py(y) - 8:.1f}" text-anchor="middle">{y:.2e}</text>')
-        parts.append(f'<text x="{px(x):.1f}" y="{_MT + plot_h + 14}" text-anchor="middle">{x:g}</text>')
-    parts.append(
-        f'<line x1="{_ML}" y1="{_MT + plot_h}" x2="{_W - _MR}" y2="{_MT + plot_h}" stroke="black"/>'
-    )
-    parts.append(f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + plot_h}" stroke="black"/>')
-    parts.append(f'<text x="{_W / 2:g}" y="{_H - 6}" text-anchor="middle">{xlabel}</text>')
-    parts.append(f'<text x="12" y="{_MT + 8}">{ylabel}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        marks += [
+            f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="3" fill="{_PALETTE[0]}"/>',
+            f'<text x="{px(x):.1f}" y="{py(y) - 8:.1f}" text-anchor="middle">{y:.2e}</text>',
+            f'<text x="{px(x):.1f}" y="{_MT + _PLOT_H + 14}" text-anchor="middle">{x:g}</text>',
+        ]
+    return _svg(title, marks, [
+        f'<text x="{_W / 2:g}" y="{_H - 6}" text-anchor="middle">{xlabel}</text>',
+        f'<text x="12" y="{_MT + 8}">{ylabel}</text>',
+    ])
 
 
 def report(input_dir: str | Path,

@@ -291,6 +291,8 @@ def snapshot_of(s: SolverState, producer_id: int) -> Snapshot:
     ny, nx = pts["u"].shape
     o = producer_id * nx
     velocity = np.stack([pts["u"], pts["v"]], axis=-1)
+    for a in (velocity, pts["pressure"], pts["temperature"]):
+        a.setflags(write=False)  # new arrays nothing else holds: FieldArray adopts them
     block = Block(
         origin=(o * s.dx, 0.0, 0.0),
         spacing=(s.dx, s.dy, 1.0),

@@ -13,12 +13,14 @@ A step is one BlockPayload frame of point data: step u64, time f64, origin
 field: name length u16 + UTF-8 bytes, components u32, value count u64,
 values f64[].
 
-Every other message has one fixed payload length, and a BlockPayload at
-least 116 bytes, so check_header can reject a bad frame from its 14-byte
-header alone, before a reader reads exactly the declared payload. A
-BlockPayload frame is encoded into one preallocated buffer (one copy per
-field) and decoded with none: each field's values are a read-only float64
-view over the frame, which FieldArray adopts as it is.
+Every other message has one fixed payload length, declared with its tag
+and its packing in `_FIXED`, the one table that encode_message,
+check_header and decode_message read; a BlockPayload is at least 116
+bytes. So check_header can reject a bad frame from its 14-byte header
+alone, before a reader reads exactly the declared payload. A BlockPayload
+frame is encoded into one preallocated buffer (one copy per field) and
+decoded with none: each field's values are a read-only float64 view over
+the frame, which FieldArray adopts as it is.
 """
 
 from __future__ import annotations
@@ -40,17 +42,6 @@ TAG_BLOCK_PAYLOAD = 0x04
 TAG_STEP_ACK = 0x05
 TAG_BYE = 0x06
 
-_HELLO = struct.Struct("<II")  # producer id, reserved flags
-_HELLO_ACK = struct.Struct("<B")
-_STEP_ACK = struct.Struct("<Q")
-# every message but BlockPayload has a payload of one fixed length:
-# tag -> (name, layout, the message from the unpacked payload)
-_FIXED = {
-    TAG_HELLO: ("Hello", _HELLO, lambda pid, _flags: Hello(pid)),
-    TAG_HELLO_ACK: ("HelloAck", _HELLO_ACK, lambda accepted: HelloAck(bool(accepted))),
-    TAG_STEP_ACK: ("StepAck", _STEP_ACK, lambda step: StepAck(step)),
-    TAG_BYE: ("Bye", struct.Struct("<"), lambda: Bye()),
-}
 _STEP_FIXED = struct.Struct("<Qd3d3d6qI")  # step, time, origin, spacing, extents, field count
 _FIELD_HEAD = struct.Struct("<IQ")  # components, value count
 
@@ -93,6 +84,19 @@ class Bye:
 
 
 WireMessage = Hello | HelloAck | BlockPayload | StepAck | Bye
+
+# every message but BlockPayload has a payload of one fixed length:
+# type -> (tag, layout, payload of a message, message from a payload)
+_FIXED = {
+    Hello: (TAG_HELLO, struct.Struct("<II"),  # producer id, reserved flags
+            lambda m: (m.producer_id, 0), lambda pid, _flags: Hello(pid)),
+    HelloAck: (TAG_HELLO_ACK, struct.Struct("<B"),
+               lambda m: (1 if m.accepted else 0,), lambda accepted: HelloAck(bool(accepted))),
+    StepAck: (TAG_STEP_ACK, struct.Struct("<Q"), lambda m: (m.step,), StepAck),
+    Bye: (TAG_BYE, struct.Struct("<"), lambda m: (), Bye),
+}
+_FIXED_BY_TAG = {tag: (kind, layout, message)
+                 for kind, (tag, layout, _, message) in _FIXED.items()}
 
 
 def _block_frame(m: BlockPayload) -> bytearray:
@@ -148,17 +152,11 @@ def encode_message(m: WireMessage) -> bytes | bytearray:
     which holds the only copy of each field's values."""
     if isinstance(m, BlockPayload):
         return _block_frame(m)
-    if isinstance(m, Hello):
-        tag, payload = TAG_HELLO, _HELLO.pack(m.producer_id, 0)  # id + reserved flags
-    elif isinstance(m, HelloAck):
-        tag, payload = TAG_HELLO_ACK, _HELLO_ACK.pack(1 if m.accepted else 0)
-    elif isinstance(m, StepAck):
-        tag, payload = TAG_STEP_ACK, _STEP_ACK.pack(m.step)
-    elif isinstance(m, Bye):
-        tag, payload = TAG_BYE, b""
-    else:
-        raise TypeError(f"not a wire message: {m!r}")
-    return HEADER.pack(MAGIC, VERSION, tag, len(payload)) + payload
+    try:
+        tag, layout, payload, _ = _FIXED[type(m)]
+    except KeyError:
+        raise TypeError(f"not a wire message: {m!r}") from None
+    return HEADER.pack(MAGIC, VERSION, tag, layout.size) + layout.pack(*payload(m))
 
 
 def check_header(buf) -> tuple[int, int]:
@@ -175,10 +173,11 @@ def check_header(buf) -> tuple[int, int]:
         raise ProtocolError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ProtocolError(f"unknown protocol version {version}")
-    if tag in _FIXED:
-        name, layout, _ = _FIXED[tag]
+    if tag in _FIXED_BY_TAG:
+        kind, layout, _ = _FIXED_BY_TAG[tag]
         if length != layout.size:
-            raise ProtocolError(f"{name} payload must be {layout.size} bytes, got {length}")
+            raise ProtocolError(f"{kind.__name__} payload must be {layout.size} bytes, "
+                                f"got {length}")
     elif tag != TAG_BLOCK_PAYLOAD:
         raise ProtocolError(f"unknown message tag 0x{tag:02x}")
     elif length < _STEP_FIXED.size:
@@ -204,5 +203,5 @@ def decode_message(buf) -> tuple[WireMessage | None, int]:
     payload = memoryview(buf)[HEADER.size:total]
     if tag == TAG_BLOCK_PAYLOAD:
         return decode_block_payload(payload), total
-    _, layout, message = _FIXED[tag]
+    _, layout, message = _FIXED_BY_TAG[tag]
     return message(*layout.unpack(payload)), total

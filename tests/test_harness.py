@@ -30,14 +30,20 @@ def small_solver(**kw):
 
 
 class FakeProcess:
-    """A Popen stand-in: the endpoint publishes an address and never exits,
-    every producer exits with 1."""
+    """A Popen stand-in: the endpoint publishes an address and exits only
+    when killed (or has exited with `endpoint_exit`), and every producer
+    whose id is not in `succeeding` exits with 1. Each wait records its
+    timeout."""
+
+    succeeding: set[int] = set()
+    endpoint_exit: int | None = None
 
     def __init__(self, cmd):
         self.cmd = cmd
         self.role = cmd[3]  # python -m nekmini <role> ...
-        self.returncode = None
+        self.returncode = self.endpoint_exit if self.role == "endpoint" else None
         self.killed = False
+        self.waits = []
         if self.role == "endpoint":
             out = Path(cmd[cmd.index("--out") + 1])
             out.mkdir(parents=True, exist_ok=True)
@@ -47,10 +53,13 @@ class FakeProcess:
         return self.returncode
 
     def wait(self, timeout=None):
+        self.waits.append(timeout)
         if self.role == "endpoint":
-            raise subprocess.TimeoutExpired("endpoint", timeout)
-        self.returncode = 1
-        return 1
+            if self.returncode is None:
+                raise subprocess.TimeoutExpired("endpoint", timeout)
+            return self.returncode
+        self.returncode = 0 if int(self.cmd[self.cmd.index("--id") + 1]) in self.succeeding else 1
+        return self.returncode
 
     def kill(self):
         self.killed = True
@@ -251,14 +260,47 @@ class TestIntransitRoles:
         # endpoint ran the stats sink once per delivered step
         lines = stats.read_text().strip().split("\n")
         assert len(lines) == 1 + 3 * 3  # header + 3 steps x 3 fields
-        text = (result["out"] / "endpoint_summary.txt").read_text()
-        assert "steps_completed=3" in text
-        assert "incomplete_steps=0" in text
 
         # byte accounting agrees across the two roles
         p_summary = reporting.read_summary(p_out / "summary.csv")
         e_summary = reporting.read_summary(result["out"] / "summary.csv")
-        assert p_summary[("t", "transport")][2] == e_summary[("t", "endpoint:received")][2]
+        sent = p_summary[("t", "transport")][2]
+        assert sent == e_summary[("t", "endpoint:received")][2]
+        # the whole endpoint summary, key order included
+        assert (result["out"] / "endpoint_summary.txt").read_text().splitlines() == [
+            "steps_completed=3",
+            "incomplete_steps=0",
+            f"bytes_received={sent}",
+            "producers_seen=1",
+            "rejected_connections=0",
+        ]
+
+    def test_endpoint_summary_lists_every_count_then_every_error(self, tmp_path, monkeypatch):
+        summary = transport.EndpointSummary(steps_completed=4, incomplete_steps=2,
+                                            bytes_received=1234, producers_seen=2,
+                                            rejected_connections=1,
+                                            errors=["step 5: boom", "step 6: bang"])
+
+        class Served:
+            address = "127.0.0.1:9"
+
+            def __init__(self, listen, producers, bridge):
+                pass
+
+            def serve(self):
+                return summary
+
+        monkeypatch.setattr(transport, "Endpoint", Served)
+        out = run_endpoint(tmp_path / "ep", None, "t", 2)
+        assert (out / "endpoint_summary.txt").read_text() == (
+            "steps_completed=4\n"
+            "incomplete_steps=2\n"
+            "bytes_received=1234\n"
+            "producers_seen=2\n"
+            "rejected_connections=1\n"
+            "error=step 5: boom\n"
+            "error=step 6: bang\n"
+        )
 
     def test_abandoned_last_step_fails_the_producer(self, tmp_path, monkeypatch):
         # the producer ships steps 0, 2 and 4; the endpoint's analysis
@@ -378,11 +420,35 @@ class TestOrchestration:
 
     def test_run_intransit_names_failed_producer_when_endpoint_hangs(self, tmp_path,
                                                                    fake_popen):
+        # every producer failed, so nothing can reach the endpoint: it is
+        # killed at once, never given transport.STEP_TIMEOUT to exit
+        cfg = RunConfig(small_solver(), 2, None, tmp_path / "out", "x", producers=2, frequency=1)
+        with pytest.raises(RuntimeError) as e:
+            run_intransit(cfg)
+        assert str(e.value) == "producer 0 exited with 1; producer 1 exited with 1"
+        assert [p.role for p in fake_popen if p.killed] == ["endpoint"]
+        assert fake_popen[0].waits == [None]  # reaped after the kill, no timed wait
+
+    def test_run_intransit_names_an_endpoint_that_failed_before_its_producers(
+            self, tmp_path, fake_popen, monkeypatch):
+        monkeypatch.setattr(FakeProcess, "endpoint_exit", 1)
         cfg = RunConfig(small_solver(), 2, None, tmp_path / "out", "x", producers=1, frequency=1)
         with pytest.raises(RuntimeError) as e:
             run_intransit(cfg)
-        assert str(e.value) == "producer 0 exited with 1; endpoint did not exit within 120 s"
+        assert str(e.value) == "producer 0 exited with 1; endpoint exited with 1"
+        assert not fake_popen[0].killed and fake_popen[0].waits == []
+
+    def test_run_intransit_waits_for_the_endpoint_while_a_producer_succeeded(
+            self, tmp_path, fake_popen, monkeypatch):
+        # producer 0 finished, so the endpoint may still complete its steps:
+        # it gets transport.STEP_TIMEOUT before it is named and killed
+        monkeypatch.setattr(FakeProcess, "succeeding", {0})
+        cfg = RunConfig(small_solver(), 2, None, tmp_path / "out", "x", producers=2, frequency=1)
+        with pytest.raises(RuntimeError) as e:
+            run_intransit(cfg)
+        assert str(e.value) == "producer 1 exited with 1; endpoint did not exit within 120 s"
         assert [p.role for p in fake_popen if p.killed] == ["endpoint"]
+        assert fake_popen[0].waits == [transport.STEP_TIMEOUT, None]
 
     def test_every_solver_setting_reaches_every_producer(self, tmp_path, fake_popen):
         # every field away from its default, so a field the orchestrator

@@ -1,6 +1,9 @@
 """CSV schema and chart determinism tests."""
 
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from nekmini.reporting import (
     write_summary,
     write_timings,
 )
+from nekmini.transport import EndpointSummary
 
 
 def sample_timings():
@@ -83,6 +87,25 @@ class TestAggregation:
         assert agg[("run", "sink")][0] == pytest.approx(0.001)
         assert agg[("run", "sink")][2] == 4096
         assert agg[("run", "solve")][2] == 0
+
+    def test_aggregate_leaves_out_the_step_0_rendezvous(self):
+        # a producer's step 0 waits for the slowest peer to launch; its
+        # per-step mean covers steps >= 1, a step -1 total stays as it is
+        recs = [TimingRecord("p", 0, "transport", 0.120)] + [
+            TimingRecord("p", k, "transport", s) for k, s in ((5, 0.004), (10, 0.008), (15, 0.006))
+        ] + [TimingRecord("p", -1, "ack_drain", 0.003)]
+        agg = aggregate(recs, {("p", "transport"): 777})
+        assert agg[("p", "transport")] == (pytest.approx(0.006), pytest.approx(0.002), 777)
+        assert agg[("p", "ack_drain")] == (0.003, 0.0, 0)
+
+    def test_a_phase_timed_only_at_step_0_keeps_its_row_and_bytes(self):
+        # steps 3, frequency 5: the producer ships only its initial condition
+        recs = [TimingRecord("p", k, "solve", 0.01) for k in (1, 2, 3)] + [
+            TimingRecord("p", 0, "snapshot_copy", 0.002), TimingRecord("p", 0, "transport", 0.12)]
+        agg = aggregate(recs, {("p", "transport"): 999})
+        assert agg[("p", "transport")] == (0.12, 0.0, 999)
+        assert agg[("p", "snapshot_copy")] == (0.002, 0.0, 0)
+        assert agg[("p", "solve")][0] == pytest.approx(0.01)
 
     def test_aggregate_empty_raises_no_data(self):
         with pytest.raises(ValueError, match="no data"):
@@ -165,6 +188,19 @@ class TestReport:
         assert "run/sink:render" not in chart
         assert chart == bar_chart_svg(aggregate(sample_timings()), "mean seconds per step phase")
 
+    def test_summary_and_chart_means_cover_steps_from_1(self, tmp_path):
+        rows = sample_timings() + [TimingRecord("run", 0, "solve", 0.5),
+                                   TimingRecord("run", 0, "sink", 0.5),
+                                   TimingRecord("run", 0, "snapshot_copy", 0.25)]
+        write_timings(tmp_path / "timings.csv", rows)
+        summary_path, chart_path = reporting.report(tmp_path, tmp_path / "out")
+        agg = read_summary(summary_path)
+        assert agg[("run", "solve")][:2] == (pytest.approx(0.012), pytest.approx(0.002))
+        assert agg[("run", "sink")][0] == pytest.approx(0.001)
+        assert agg[("run", "snapshot_copy")][0] == pytest.approx(0.25)
+        assert chart_path.read_text() == bar_chart_svg(
+            aggregate(sample_timings() + [rows[-1]]), "mean seconds per step phase")
+
     def test_report_over_totals_only_writes_no_chart(self, tmp_path):
         write_timings(tmp_path / "timings.csv", [TimingRecord("b", -1, "sink:stats", 0.5)])
         summary_path, chart_path = reporting.report(tmp_path, tmp_path)
@@ -174,3 +210,24 @@ class TestReport:
     def test_report_with_no_timings_raises(self, tmp_path):
         with pytest.raises(ValueError, match="no data"):
             reporting.report(tmp_path, tmp_path)
+
+
+def readme_output_table():
+    """README's "Output files" table: file name -> its schema cell."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## Output files\n")[1].split("\n## ")[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0] == ["file", "schema"]
+    return {name.strip("`"): schema for name, schema in rows[1:]}
+
+
+def test_readme_output_table_matches_the_declared_layouts():
+    table = readme_output_table()
+    headers = {"timings.csv": reporting.TIMINGS_HEADER, "memory.csv": reporting.MEMORY_HEADER,
+               "summary.csv": reporting.SUMMARY_HEADER, "scaling.csv": reporting.SCALING_HEADER}
+    assert set(headers) | {"endpoint.addr", "endpoint_summary.txt"} == set(table)
+    for name, header in headers.items():
+        assert re.match(r"`([^`]*)`", table[name]).group(1).split(",") == header, name
+    keys = re.findall(r"`(\w+)`", table["endpoint_summary.txt"])
+    assert keys == [f.name for f in fields(EndpointSummary)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nekmini import wire
 from nekmini.data_model import POINT, Block, FieldArray
 from nekmini.wire import (
     ERROR_STEP,
@@ -177,22 +178,35 @@ class TestDecodeIncremental:
         assert check_header(raw) == (TAG_BLOCK_PAYLOAD, len(raw)) == (TAG_BLOCK_PAYLOAD, 130)
 
 
+CONTROL_MESSAGES = [
+    Hello(0),
+    Hello(2**32 - 1),
+    HelloAck(True),
+    HelloAck(False),
+    StepAck(0),
+    StepAck(ERROR_STEP - 1),
+    StepAck(12345),
+    StepAck(ERROR_STEP),
+    Bye(),
+]
+
+
 class TestRoundTrips:
-    @pytest.mark.parametrize("msg", [
-        Hello(0),
-        Hello(2**32 - 1),
-        HelloAck(True),
-        HelloAck(False),
-        StepAck(0),
-        StepAck(ERROR_STEP - 1),
-        StepAck(12345),
-        StepAck(ERROR_STEP),
-        Bye(),
-    ])
+    @pytest.mark.parametrize("msg", CONTROL_MESSAGES)
     def test_control_message_round_trip(self, msg):
         decoded, used = decode_message(encode_message(msg))
         assert decoded == msg
         assert used == len(encode_message(msg))
+
+    def test_round_trips_cover_every_fixed_message(self):
+        # every message of one fixed payload length is in the one table,
+        # and each of them round-trips above
+        assert {type(m) for m in CONTROL_MESSAGES} == set(wire._FIXED) \
+            == {Hello, HelloAck, StepAck, Bye}
+
+    def test_encoding_a_non_message_raises_type_error(self):
+        with pytest.raises(TypeError, match="^not a wire message: <object object at "):
+            encode_message(object())
 
     def test_block_round_trip_bit_exact(self):
         rng = np.random.default_rng(17)
