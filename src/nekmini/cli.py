@@ -9,8 +9,9 @@ Subcommands:
     validate-config  parse an analysis configuration and report problems
     report           aggregate timings CSVs into summary.csv + chart.svg
 
-The solver flags are SolverParams' fields, each with the field's default.
-A --config that validate-config rejects is a usage error, like a bad flag.
+The solver flags are SolverParams' fields, each with the field's default;
+values it rejects, a --dt past the diffusive limit included, are usage
+errors. So is a --config that validate-config rejects.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def _run_config(args, **kw) -> harness.RunConfig:
     """The run's settings; a solver flag that SolverParams rejects is a usage error."""
     try:
         solver = SolverParams(**{f.name: getattr(args, f.name) for f in fields(SolverParams)})
-    except ValueError as e:  # a grid below 4x4, a non-positive dt, ...
+    except ValueError as e:  # a grid below 4x4, a dt past the diffusive limit, ...
         args.parser.error(str(e))
     return harness.RunConfig(solver=solver, steps=args.steps, output_dir=Path(args.out),
                              label=args.label, **kw)

@@ -21,10 +21,10 @@ over that buffer, which the data model adopts without a copy.
 Both sides give up after STEP_TIMEOUT seconds: a producer waiting for
 an ack, and an endpoint that hears nothing from any connection. An idle
 endpoint then abandons a step still missing some producers' frames, or
-exits if no producer ever connected. A producer tries to connect
-CONNECT_RETRIES + 1 times, sleeping RETRY_BACKOFF seconds times the
-attempt number after each failure. These are module constants, not
-options: every role reads the same values.
+exits if no producer ever connected. A producer connecting to an
+endpoint that is not listening yet retries every CONNECT_INTERVAL
+seconds, and gives up once STEP_TIMEOUT has passed. These are module
+constants, not options: every role reads the same values.
 
 Failure policy: a producer disconnecting mid-step discards that step;
 the other producers of that step receive an ack carrying the ERROR_STEP
@@ -61,8 +61,7 @@ log = logging.getLogger(__name__)
 
 
 STEP_TIMEOUT = 120.0  # s either side waits for the other before giving up
-CONNECT_RETRIES = 20  # connection attempts after the first
-RETRY_BACKOFF = 0.25  # s; the sleep after failed attempt n is n times this
+CONNECT_INTERVAL = 0.1  # s between a producer's attempts to connect
 
 
 class TransportError(RuntimeError):
@@ -130,15 +129,18 @@ class FrameReader:
 # ---------------------------------------------------------------------------
 
 def _connect(address: str) -> socket.socket:
+    """Connect within STEP_TIMEOUT; each attempt may take the time left."""
     host, port = parse_address(address)
-    last: Exception | None = None
-    for attempt in range(CONNECT_RETRIES + 1):
+    deadline = time.monotonic() + STEP_TIMEOUT
+    while True:
         try:
-            return socket.create_connection((host, port), timeout=10.0)
+            return socket.create_connection((host, port),
+                                            timeout=max(deadline - time.monotonic(), 0.0))
         except OSError as e:
-            last = e
-            time.sleep(RETRY_BACKOFF * (attempt + 1))
-    raise TransportError(f"cannot reach endpoint {address}: {last}")
+            if time.monotonic() + CONNECT_INTERVAL >= deadline:  # no attempt would follow a sleep
+                raise TransportError(
+                    f"cannot reach endpoint {address} within {STEP_TIMEOUT:g} s: {e}") from None
+        time.sleep(CONNECT_INTERVAL)
 
 
 class ProducerConnection:

@@ -108,6 +108,8 @@ def test_bench_rejects_a_frequency_below_1_before_it_starts(tmp_path, frequency,
     (["weak-scale", "--producers", "2,0"], "--producers"),
     (["weak-scale", "--producers", ","], "--producers"),
     (["weak-scale", "--ny", "1"], "grid must be at least 4x4"),
+    (["run", "--dt", "1"], "diffusive ratio"),
+    (["bench", "--dt", "1"], "diffusive ratio"),
 ])
 def test_bad_input_is_a_usage_error_before_anything_starts(tmp_path, capsys, argv, flag):
     out = tmp_path / "o"

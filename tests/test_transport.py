@@ -67,10 +67,8 @@ class RecordingBridge:
 
 @pytest.fixture(autouse=True)
 def quick_transport(monkeypatch):
-    """Fail within seconds, not minutes, and retry a missing endpoint fast."""
+    """Fail within seconds, not minutes, connecting included."""
     monkeypatch.setattr(transport, "STEP_TIMEOUT", 10.0)
-    monkeypatch.setattr(transport, "CONNECT_RETRIES", 3)
-    monkeypatch.setattr(transport, "RETRY_BACKOFF", 0.05)
 
 
 def producer_block(pid, ni=4, nj=3, step=0, seed=None):
@@ -451,6 +449,25 @@ def test_producer_ack_timeout(monkeypatch):
     srv.close()
 
 
+def record_connects(monkeypatch):
+    """Record this thread's connect attempts with their timeouts, and its sleeps."""
+    log, me = [], threading.get_ident()
+    real_connect, real_sleep = socket.create_connection, time.sleep
+
+    def connect(address, timeout):
+        log.append(("connect", timeout))
+        return real_connect(address, timeout=timeout)
+
+    def sleep(seconds):
+        if threading.get_ident() == me:
+            log.append(("sleep", seconds))
+        real_sleep(seconds)
+
+    monkeypatch.setattr(transport.socket, "create_connection", connect)
+    monkeypatch.setattr(transport.time, "sleep", sleep)
+    return log
+
+
 def test_producer_retries_until_endpoint_appears(monkeypatch):
     # reserve a port, start the endpoint only after the first connect attempts
     probe = socket.socket()
@@ -466,23 +483,35 @@ def test_producer_retries_until_endpoint_appears(monkeypatch):
         holder["ep"] = ep
         ep.serve()
 
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 5.0)
+    log = record_connects(monkeypatch)
     th = threading.Thread(target=late_start, daemon=True)
     th.start()
-    monkeypatch.setattr(transport, "CONNECT_RETRIES", 20)
-    monkeypatch.setattr(transport, "RETRY_BACKOFF", 0.1)
     conn = ProducerConnection(f"127.0.0.1:{port}", 0)
     assert conn.send_step(producer_snapshot(0, 0)) == 0
     conn.close()
     th.join(timeout=10)
     assert not th.is_alive()
     assert holder["ep"].summary.steps_completed == 1
+    connects = [t for what, t in log if what == "connect"]
+    assert len(connects) >= 2  # it failed at least once, then reached the endpoint
+    assert connects[0] <= 5.0 and connects == sorted(connects, reverse=True)
+    sleeps = [t for what, t in log if what == "sleep"]
+    assert sleeps == [transport.CONNECT_INTERVAL] * (len(connects) - 1)
 
 
 def test_unreachable_endpoint_raises_transport_error(monkeypatch):
-    monkeypatch.setattr(transport, "CONNECT_RETRIES", 1)
-    monkeypatch.setattr(transport, "RETRY_BACKOFF", 0.01)
-    with pytest.raises(TransportError, match="cannot reach"):
+    # connecting waits STEP_TIMEOUT in all, and no sleep follows the last attempt
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 0.5)
+    log = record_connects(monkeypatch)
+    t0 = time.monotonic()
+    with pytest.raises(TransportError, match=r"cannot reach endpoint 127\.0\.0\.1:1 within 0\.5 s: "):
         ProducerConnection("127.0.0.1:1", 0)
+    assert time.monotonic() - t0 >= 0.5 - transport.CONNECT_INTERVAL
+    assert [what for what, _ in log] == ["connect", "sleep"] * (len(log) // 2) + ["connect"]
+    connects = [t for what, t in log if what == "connect"]
+    assert len(connects) >= 2
+    assert connects[0] <= 0.5 and connects == sorted(connects, reverse=True)
 
 
 def test_fidelity_bit_exact_through_transport():
