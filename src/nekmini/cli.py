@@ -17,6 +17,9 @@ errors. So is a --config that validate-config rejects.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import logging
+import platform
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -25,6 +28,23 @@ from nekmini import bridge as bridge_mod
 from nekmini import harness, reporting
 from nekmini.sinks import positive_int
 from nekmini.solver import SolverParams
+
+log = logging.getLogger(__name__)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def keep_freed_heap():
+    """Have glibc keep up to 256 MiB of freed heap, and serve requests below
+    32 MiB (the most it allows) from it, so that a step's temporaries reuse
+    pages the last step freed instead of faulting in fresh ones. Both are
+    set: setting either one turns off glibc's dynamic mmap threshold."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in ((M_TRIM_THRESHOLD, 256 << 20), (M_MMAP_THRESHOLD, 32 << 20)):
+        if not mallopt(param, value):
+            log.warning("mallopt(%d, %d) failed; glibc's default stays", param, value)
 
 
 def _add_solver_args(p: argparse.ArgumentParser):
@@ -115,6 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    keep_freed_heap()
     args = build_parser().parse_args(argv)
 
     if args.command == "run":

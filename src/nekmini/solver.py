@@ -216,8 +216,6 @@ def step(s: SolverState, p: SolverParams) -> SolverState:
                               f"{PROJECTION_TOLERANCE:.3e} after the pressure projection")
 
     # --- temperature: diffusion + conservative upwind fluxes ---
-    # (diffusion first: glibc then trims the heap less often; at 128^2
-    # fluxes first took 30-320 minor page faults a step, this order 0-80)
     t_w = np.roll(temp, 1, axis=1)
     tg = np.vstack([2.0 - temp[:1], temp, -temp[-1:]])  # Dirichlet ghosts: T=1 bottom, 0 top
     lap_t = (np.roll(temp, -1, axis=1) - 2 * temp + t_w) / dx**2 \

@@ -1,14 +1,16 @@
 """CLI surface tests (argument parsing plus the lightweight subcommands)."""
 
+import platform
 import re
 import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from nekmini import reporting
+from nekmini import cli, reporting
 from nekmini.bridge import ConfigError, initialize, load_config
 from nekmini.cli import _run_config, build_parser, main
 from nekmini.reporting import TimingRecord
@@ -76,6 +78,63 @@ def test_report_subcommand(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 0
     assert (tmp_path / "summary.csv").exists()
     assert (tmp_path / "chart.svg").exists()
+
+
+# A fresh CLI process (cli.main, here validate-config) renders one in situ
+# render trigger, two 256x256 images of a 64x64 snapshot, 5 times to warm up
+# and 20 times counted. With glibc's defaults each pair re-faults its
+# temporaries: about 3,000 minor faults.
+RENDER_FAULTS = """
+import resource, sys
+from nekmini.cli import main
+from nekmini.sinks import render
+from nekmini.solver import SolverParams, init_state, snapshot_of
+
+assert main(["validate-config", sys.argv[1]]) == 0
+snap = snapshot_of(init_state(SolverParams(nx=64, ny=64)), 0)
+for i in range(25):
+    if i == 5:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for name in ("temperature", "velocity:mag"):
+        render(snap, name, 256, 256)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_a_cli_process_keeps_its_freed_heap_across_render_triggers(tmp_path):
+    p = tmp_path / "a.xml"
+    p.write_text('<sensei><analysis type="null" frequency="10"/></sensei>')
+    r = subprocess.run([sys.executable, "-c", RENDER_FAULTS, str(p)],
+                       capture_output=True, text=True, check=True)
+    assert float(r.stdout.splitlines()[-1]) < 100  # minor faults per render pair
+
+
+def test_keep_freed_heap_loads_no_libc_off_glibc(monkeypatch):
+    def no_load(name):
+        raise AssertionError(f"loaded {name!r}")
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("musl", "1.2.4"))
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_load)
+    cli.keep_freed_heap()
+
+
+def test_keep_freed_heap_warns_when_mallopt_refuses(monkeypatch, caplog):
+    def refuse(param, value):
+        return 0
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=refuse))
+    cli.keep_freed_heap()
+    assert [r.levelname for r in caplog.records] == ["WARNING", "WARNING"]
+    assert "mallopt(-1, 268435456) failed" in caplog.text
+
+
+def test_main_keeps_freed_heap_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "keep_freed_heap", lambda: calls.append(1))
+    p = tmp_path / "a.xml"
+    p.write_text('<sensei><analysis type="null" frequency="10"/></sensei>')
+    assert main(["validate-config", str(p)]) == 0
+    assert calls == [1]
 
 
 def test_run_small_insitu(tmp_path, capsys):
