@@ -8,7 +8,8 @@ record types. summary.csv's per-step means cover steps >= 1.
 
 Charts are plain SVG with fixed dimensions, text-as-text and no
 timestamps, so identical inputs produce byte-identical files. Both draw
-their marks in the one frame that `_svg` draws.
+their marks in the one frame that `_svg` draws, and escape every text
+they are given (a title, a label, a phase or an axis name) as XML.
 """
 
 from __future__ import annotations
@@ -132,13 +133,19 @@ _PLOT_W, _PLOT_H = _W - _ML - _MR, _H - _MT - _MB
 _PALETTE = ["#3b4cc0", "#b40426", "#2e8b57", "#b8860b", "#6a3d9a", "#444444"]
 
 
+def _text(s: str) -> str:
+    """s as XML character data, as xml.sax.saxutils.escape gives it; that
+    module imports urllib.request and ssl, 2 MB of every run's peak RSS."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg(title: str, marks: list[str], labels: list[str]) -> str:
     """One chart: the canvas and title, `marks`, both axes, then `labels`."""
     return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="11">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:g}" y="18" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{_W / 2:g}" y="18" text-anchor="middle" font-size="14">{_text(title)}</text>',
         *marks,
         f'<line x1="{_ML}" y1="{_MT + _PLOT_H}" x2="{_W - _MR}" y2="{_MT + _PLOT_H}" '
         f'stroke="black"/>',
@@ -168,7 +175,8 @@ def bar_chart_svg(agg: dict[tuple[str, str], tuple[float, float, int]], title: s
             f'<rect x="{x:.1f}" y="{y:.1f}" width="{0.7 * bw:.1f}" height="{h:.1f}" '
             f'fill="{color[key[1]]}"/>',
             f'<text x="{lx:.1f}" y="{_MT + _PLOT_H + 12}" text-anchor="end" '
-            f'transform="rotate(-35 {lx:.1f} {_MT + _PLOT_H + 12})">{key[0]}/{key[1]}</text>',
+            f'transform="rotate(-35 {lx:.1f} {_MT + _PLOT_H + 12})">'
+            f'{_text(key[0])}/{_text(key[1])}</text>',
             f'<text x="{lx:.1f}" y="{y - 4:.1f}" text-anchor="middle">{mean:.2e}</text>',
         ]
     return _svg(title, marks, [f'<text x="12" y="{_MT + 8}">{vmax:.2e}s</text>'])
@@ -197,8 +205,8 @@ def line_chart_svg(points: list[tuple[float, float]], title: str, xlabel: str, y
             f'<text x="{px(x):.1f}" y="{_MT + _PLOT_H + 14}" text-anchor="middle">{x:g}</text>',
         ]
     return _svg(title, marks, [
-        f'<text x="{_W / 2:g}" y="{_H - 6}" text-anchor="middle">{xlabel}</text>',
-        f'<text x="12" y="{_MT + 8}">{ylabel}</text>',
+        f'<text x="{_W / 2:g}" y="{_H - 6}" text-anchor="middle">{_text(xlabel)}</text>',
+        f'<text x="12" y="{_MT + 8}">{_text(ylabel)}</text>',
     ])
 
 

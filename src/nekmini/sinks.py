@@ -29,6 +29,8 @@ The title line carries step/producer/time/extents so a read reproduces
 the original snapshot exactly; 17 significant digits make the ascii mode
 round-trip float64 bit-exactly. Every array is point data. The reader
 accepts this layout only: it raises CheckpointFormatError on any other.
+Each field crosses a file with one copy: a write holds one encoded copy
+of it, and a read decodes it once into the read-only array it returns.
 """
 
 from __future__ import annotations
@@ -60,15 +62,17 @@ def checkpoint_filename(step: int, blk: int) -> str:
 
 def checkpoint_write(s: Snapshot, dir: str | Path, format: str = "binary") -> tuple[Path, int]:
     """Write the snapshot's block as one legacy-VTK file, named for its
-    step and producer; returns (path, bytes written)."""
+    step and producer; returns (path, bytes written). Every part is encoded
+    before the file is opened, so an encoding error leaves no file."""
     checkpoint_format(format)
     (block,) = s.blocks
     if not block.fields:
         raise ValueError("block has no fields to checkpoint")
     path = Path(dir) / checkpoint_filename(s.step, s.producer_id)
-    data = _encode_vtk(block, s.step, s.producer_id, s.time, format)
-    path.write_bytes(data)
-    return path, len(data)
+    parts = _encode_vtk(block, s.step, s.producer_id, s.time, format)
+    with open(path, "wb") as f:
+        f.writelines(parts)
+        return path, f.tell()
 
 
 def _vtk_head(block: Block, step: int, producer: int, time: float, format: str,
@@ -89,7 +93,7 @@ def _vtk_head(block: Block, step: int, producer: int, time: float, format: str,
     ]
 
 
-def _encode_vtk(block: Block, step: int, producer: int, time: float, format: str) -> bytes:
+def _encode_vtk(block: Block, step: int, producer: int, time: float, format: str) -> list:
     lines = _vtk_head(block, step, producer, time, format, len(block.fields))
     parts = [("\n".join(lines) + "\n").encode("ascii")]
     for f in block.fields:
@@ -99,7 +103,7 @@ def _encode_vtk(block: Block, step: int, producer: int, time: float, format: str
         else:
             parts.append(_ascii_values(f.values.tolist()))
         parts.append(b"\n")
-    return b"".join(parts)
+    return parts
 
 
 def _ascii_values(vals: list[float]) -> bytes:
@@ -166,7 +170,7 @@ def _decode_vtk(raw: bytes) -> Snapshot:
             end = pos + 8 * n
             if end > len(raw):
                 raise CheckpointFormatError(f"truncated payload for field {name!r}")
-            values = np.frombuffer(raw[pos:end], dtype=">f8").astype(np.float64)
+            values = np.frombuffer(raw, ">f8", n, pos).astype(np.float64)
             pos = end
         else:
             vals: list[float] = []
@@ -175,6 +179,7 @@ def _decode_vtk(raw: bytes) -> Snapshot:
                     raise CheckpointFormatError(f"truncated payload for field {name!r}")
                 vals.extend(float(x) for x in next_line().split())
             values = np.array(vals)
+        values.setflags(write=False)  # so FieldArray adopts it without a copy
         fields.append(FieldArray(name, POINT, int(comps), values))
         if raw[pos:pos + 1] == b"\n":
             pos += 1
@@ -215,17 +220,6 @@ class ColorMap:
 DEFAULT_COLORMAP = ColorMap(((0.0, (59, 76, 192)), (0.5, (255, 255, 255)), (1.0, (180, 4, 38))))
 
 
-@dataclass(frozen=True)
-class ImageRGB:
-    width: int
-    height: int
-    pixels: bytes  # row-major 8-bit RGB, top row first
-
-    def __post_init__(self):
-        if len(self.pixels) != 3 * self.width * self.height:
-            raise ValueError("pixel buffer length must be 3 * width * height")
-
-
 def scalar_field(block: Block, name: str) -> np.ndarray:
     """Extract a scalar (nj, ni) grid; 'field:mag' derives the magnitude."""
     base, _, derived = name.partition(":")
@@ -251,8 +245,9 @@ def render(
     height: int,
     vmin: float | None = None,
     vmax: float | None = None,
-) -> ImageRGB:
-    """Pseudocolor image of one field, bilinear-sampled in index space.
+) -> np.ndarray:
+    """Pseudocolor image of one field, bilinear-sampled in index space: a
+    (height, width, 3) uint8 RGB array.
 
     Pixel row 0 is the top of the domain (highest y index), coloured by
     DEFAULT_COLORMAP. Deterministic: identical inputs give byte-identical
@@ -291,16 +286,18 @@ def render(
         + t10 * ayc * (1 - axc)
         + t11 * ayc * axc
     )
-    rgb = DEFAULT_COLORMAP.apply(sampled)
-    return ImageRGB(width, height, rgb.tobytes())
+    return DEFAULT_COLORMAP.apply(sampled)
 
 
-def write_ppm(img: ImageRGB, path: str | Path) -> int:
-    """Binary PPM (P6); returns the exact byte count written."""
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    data = header + img.pixels
-    Path(path).write_bytes(data)
-    return len(data)
+def write_ppm(rgb: np.ndarray, path: str | Path) -> int:
+    """Binary PPM (P6) of a (height, width, 3) uint8 array; returns the bytes written."""
+    if rgb.dtype != np.uint8 or rgb.ndim != 3 or rgb.shape[2] != 3:
+        raise ValueError(f"not a (height, width, 3) uint8 image: {rgb.dtype} {rgb.shape}")
+    height, width, _ = rgb.shape
+    with open(path, "wb") as f:
+        f.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
+        f.write(rgb)
+        return f.tell()
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +354,9 @@ class RenderSink:
     def consume(self, s: Snapshot) -> int:
         total = 0
         for name in self.fields:
-            img = render(s, name, self.width, self.height, self.vmin, self.vmax)
+            rgb = render(s, name, self.width, self.height, self.vmin, self.vmax)
             fname = f"step{s.step:06d}_{name.replace(':', '_')}.ppm"
-            total += write_ppm(img, self.dir / fname)
+            total += write_ppm(rgb, self.dir / fname)
         return total
 
 

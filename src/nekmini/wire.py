@@ -17,10 +17,10 @@ Every other message has one fixed payload length, declared with its tag
 and its packing in `_FIXED`, the one table that encode_message,
 check_header and decode_message read; a BlockPayload is at least 116
 bytes. So check_header can reject a bad frame from its 14-byte header
-alone, before a reader reads exactly the declared payload. A BlockPayload
-frame is encoded into one preallocated buffer (one copy per field) and
-decoded with none: each field's values are a read-only float64 view over
-the frame, which FieldArray adopts as it is.
+alone, before a reader reads the one whole frame that decode_message takes.
+A BlockPayload frame is encoded into one preallocated buffer (one copy
+per field) and decoded with none: each field's values are a read-only
+float64 view over the frame, which FieldArray adopts as it is.
 """
 
 from __future__ import annotations
@@ -188,19 +188,19 @@ def check_header(buf) -> tuple[int, int]:
     return tag, HEADER.size + length
 
 
-def decode_message(buf) -> tuple[WireMessage | None, int]:
-    """Decode one frame from the head of buf (any bytes-like object).
+def decode_message(buf) -> tuple[WireMessage, int]:
+    """Decode buf (any bytes-like object), which holds exactly one whole frame.
 
-    Returns (message, bytes consumed), or (None, 0) when more bytes are
-    needed. Raises ProtocolError on malformed frames. The payload is not
-    copied: a BlockPayload's field values are read-only views over buf.
+    Returns (message, frame length). Raises ProtocolError on a malformed
+    frame, or a buf shorter or longer than the frame its header declares.
+    A BlockPayload's field values are read-only views over buf, not copies.
     """
     if len(buf) < HEADER.size:
-        return None, 0
+        raise ProtocolError(f"{len(buf)} bytes cannot hold a {HEADER.size}-byte frame header")
     tag, total = check_header(buf)
-    if len(buf) < total:
-        return None, 0
-    payload = memoryview(buf)[HEADER.size:total]
+    if len(buf) != total:
+        raise ProtocolError(f"{len(buf)} bytes given for a {total}-byte frame")
+    payload = memoryview(buf)[HEADER.size:]
     if tag == TAG_BLOCK_PAYLOAD:
         return decode_block_payload(payload), total
     _, layout, message = _FIXED_BY_TAG[tag]

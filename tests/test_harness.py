@@ -458,13 +458,26 @@ class TestOrchestration:
                    for f in fields(SolverParams)}
         solver = SolverParams(**changed)
         assert all(getattr(solver, f.name) != f.default for f in fields(SolverParams))
-        cfg = RunConfig(solver, 2, None, tmp_path / "out", "x", producers=3, frequency=1)
+        config = write_config(tmp_path, '<analysis type="null"/>')
+        out = tmp_path / "out"
+        # steps, frequency, label and producers away from the CLI's defaults
+        # (3000, 100, "intransit" and 4) too
+        cfg = RunConfig(solver, 17, config, out, "a b&c", producers=3, frequency=4)
         with pytest.raises(RuntimeError):
             run_intransit(cfg)
-        producers = [p.cmd for p in fake_popen if p.role == "producer"]
-        assert len(producers) == 3
-        for pid, cmd in enumerate(producers):
-            args = cli.build_parser().parse_args(cmd[3:])
-            assert (args.id, args.endpoint) == (pid, "127.0.0.1:9")
-            run_cfg = cli._run_config(args, bridge_config_path=None)
-            assert run_cfg.solver == replace(solver, seed=solver.seed + pid)
+        endpoint, *producers = fake_popen
+        assert endpoint.role == "endpoint" and len(producers) == 3
+        args = cli.build_parser().parse_args(endpoint.cmd[3:])
+        assert (args.producers, args.label, args.config, args.out) == (
+            3, "a b&c", config, str(out / "endpoint"))
+        for pid, p in enumerate(producers):
+            assert p.role == "producer"
+            args = cli.build_parser().parse_args(p.cmd[3:])
+            run_cfg = cli._run_config(args, bridge_config_path=None, frequency=args.frequency,
+                                      endpoint_address=args.endpoint, producer_id=args.id)
+            expected = replace(cfg, solver=replace(solver, seed=solver.seed + pid),
+                               output_dir=out / f"producer_{pid}",
+                               endpoint_address="127.0.0.1:9", producer_id=pid)
+            for f in fields(RunConfig):
+                if f.name not in ("bridge_config_path", "producers"):  # the endpoint's
+                    assert getattr(run_cfg, f.name) == getattr(expected, f.name), f.name

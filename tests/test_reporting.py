@@ -2,6 +2,7 @@
 
 import math
 import re
+import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
 
@@ -126,6 +127,17 @@ class TestCharts:
         a = line_chart_svg(pts, "scaling", "producers", "s/step")
         assert a == line_chart_svg(pts, "scaling", "producers", "s/step")
         assert "polyline" in a
+
+    def test_chart_text_is_escaped(self):
+        # a label, phase, title or axis name holding &, < or > still gives a
+        # well-formed chart whose text reads back as given
+        svg = "{http://www.w3.org/2000/svg}"
+        bar = ET.fromstring(bar_chart_svg({("a&b<1>", "so>l&ve"): (1e-3, 0.0, 0)}, "t<&>"))
+        texts = [t.text for t in bar.iter(f"{svg}text")]
+        assert texts[:2] == ["t<&>", "a&b<1>/so>l&ve"]
+        line = ET.fromstring(line_chart_svg([(1, 0.5)], "<p&q>", "x&", "y<"))
+        texts = [t.text for t in line.iter(f"{svg}text")]
+        assert texts[0] == "<p&q>" and texts[-2:] == ["x&", "y<"]
 
     def test_charts_reject_empty(self):
         with pytest.raises(ValueError, match="no data"):

@@ -1,5 +1,6 @@
 """Tests for checkpoint I/O, rendering, and the sink classes."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,6 @@ from nekmini.sinks import (
     CheckpointFormatError,
     CheckpointSink,
     ColorMap,
-    ImageRGB,
     NullSink,
     RenderSink,
     StatsSink,
@@ -222,6 +222,18 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ValueError, match="ascii"):
             checkpoint_write(random_snapshot(rng), tmp_path, "xml")
 
+    @pytest.mark.parametrize("format", ["binary", "ascii"])
+    def test_encoding_error_leaves_no_file(self, tmp_path, format):
+        # the legacy-VTK header is ascii: a field name that is not fails
+        # before the file is opened
+        s = random_snapshot(np.random.default_rng(1))
+        f = s.blocks[0].fields[-1]
+        s = replace(s, blocks=(replace(s.blocks[0], fields=s.blocks[0].fields[:-1]
+                                       + (replace(f, name="pressure\u00e9"),)),))
+        with pytest.raises(UnicodeEncodeError):
+            checkpoint_write(s, tmp_path, format)
+        assert list(tmp_path.iterdir()) == []
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31), st.integers(2, 6), st.integers(2, 6),
            st.sampled_from(["ascii", "binary"]))
@@ -268,12 +280,12 @@ class TestRender:
         rng = np.random.default_rng(9)
         s = random_snapshot(rng, ni=7, nj=5)
         w, h = 11, 9
-        img = render(s, "temperature", width=w, height=h)
+        got = render(s, "temperature", width=w, height=h)
+        assert got.shape == (h, w, 3) and got.dtype == np.uint8
         data = scalar_field(s.blocks[0], "temperature")
         lo, hi = data.min(), data.max()
         t = (data - lo) / (hi - lo)
         nj, ni = t.shape
-        got = np.frombuffer(img.pixels, dtype=np.uint8).reshape(h, w, 3)
         for py in range(h):
             for px in range(w):
                 xf = px * (ni - 1) / (w - 1)
@@ -294,8 +306,7 @@ class TestRender:
         f = FieldArray("temperature", POINT, 1, vals)
         blk = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, ni - 1, 0, nj - 1, 0, 0), (f,))
         s = Snapshot(time=0.0, step=0, producer_id=0, blocks=(blk,))
-        img = render(s, "temperature", width=4, height=4)
-        px = np.frombuffer(img.pixels, dtype=np.uint8).reshape(4, 4, 3)
+        px = render(s, "temperature", width=4, height=4)
         assert px[0, 0].tolist() == [180, 4, 38]
         assert px[-1, 0].tolist() == [59, 76, 192]
 
@@ -304,28 +315,37 @@ class TestRender:
         blk = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 3, 0, 3, 0, 0), (f,))
         s = Snapshot(time=0.0, step=0, producer_id=0, blocks=(blk,))
         img = render(s, "temperature", width=2, height=2)
-        assert img.pixels == bytes([59, 76, 192]) * 4
+        assert img.tolist() == [[[59, 76, 192]] * 2] * 2
 
     def test_render_is_deterministic(self):
         rng = np.random.default_rng(4)
         s = random_snapshot(rng)
         a = render(s, "temperature", width=32, height=32)
         b = render(s, "temperature", width=32, height=32)
-        assert a.pixels == b.pixels
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_image_buffer_length_checked(self):
-        with pytest.raises(ValueError):
-            ImageRGB(2, 2, b"\x00" * 11)
+    def test_image_buffer_length_checked(self, tmp_path):
+        # write_ppm takes only a (height, width, 3) uint8 array, and writes
+        # no file for anything else
+        for shape, dtype in [((2, 2), np.uint8), ((12,), np.uint8), ((2, 2, 4), np.uint8),
+                             ((1, 2, 2, 3), np.uint8), ((2, 2, 3), np.float64),
+                             ((2, 2, 3), np.int64)]:
+            with pytest.raises(ValueError, match=r"\(height, width, 3\) uint8"):
+                write_ppm(np.zeros(shape, dtype), tmp_path / "a.ppm")
+        assert not (tmp_path / "a.ppm").exists()
 
     def test_ppm_byte_count_oracle(self, tmp_path):
         # P6 header "P6\n256 256\n255\n" is 15 bytes; 256*256*3 payload
-        img = ImageRGB(256, 256, bytes(256 * 256 * 3))
-        n = write_ppm(img, tmp_path / "a.ppm")
+        n = write_ppm(np.zeros((256, 256, 3), np.uint8), tmp_path / "a.ppm")
         assert n == 15 + 196608 == 196623
         assert (tmp_path / "a.ppm").stat().st_size == n
-        one = ImageRGB(1, 1, b"\x01\x02\x03")
+        one = np.array([[[1, 2, 3]]], np.uint8)
         assert write_ppm(one, tmp_path / "b.ppm") == 14
         assert (tmp_path / "b.ppm").read_bytes() == b"P6\n1 1\n255\n\x01\x02\x03"
+        # the header gives width before height; rows go top row first
+        wide = np.array([[[1, 2, 3], [4, 5, 6]]], np.uint8)
+        assert write_ppm(wide, tmp_path / "c.ppm") == 17
+        assert (tmp_path / "c.ppm").read_bytes() == b"P6\n2 1\n255\n\x01\x02\x03\x04\x05\x06"
 
 
 # ---------------------------------------------------------------------------
@@ -448,3 +468,44 @@ def test_render_is_an_order_of_magnitude_smaller_at_scale(tmp_path):
     _, ckpt_bytes = checkpoint_write(s, tmp_path)
     img_bytes = RenderSink(dir=tmp_path / "im").consume(s)
     assert img_bytes * 10 <= ckpt_bytes
+
+
+# ---------------------------------------------------------------------------
+# copies per file crossing: peak traced allocation of each write and read of
+# a 256x256 snapshot against its 2,097,152-byte payload. A binary write holds
+# one big-endian copy of each field, and a read the file's bytes plus the
+# fields it returns; a PPM write allocates next to nothing beyond its image.
+# An ascii write and read peak at 5.151x and 5.326x, mostly Python floats
+# and text; their limits keep them from growing.
+# ---------------------------------------------------------------------------
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes traced while fn runs, above what was traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("format, write_limit, read_limit", [
+    ("binary", 1.1, 2.1),
+    ("ascii", 5.16, 5.83),
+])
+def test_each_file_crossing_makes_one_copy(tmp_path, format, write_limit, read_limit):
+    s = random_snapshot(np.random.default_rng(0), ni=256, nj=256)
+    payload = sum(f.values.nbytes for f in s.blocks[0].fields)
+    assert payload == 2_097_152
+    path = tmp_path / checkpoint_filename(s.step, s.producer_id)
+    write = peak_traced_bytes(lambda: checkpoint_write(s, tmp_path, format))
+    read = peak_traced_bytes(lambda: checkpoint_read(path))
+    assert write <= write_limit * payload, f"write peak {write / payload:.3f}x the payload"
+    assert read <= read_limit * payload, f"read peak {read / payload:.3f}x the payload"
+
+
+def test_ppm_write_allocates_no_second_image(tmp_path):
+    rgb = np.zeros((256, 256, 3), np.uint8)
+    assert peak_traced_bytes(lambda: write_ppm(rgb, tmp_path / "a.ppm")) <= 16 * 1024

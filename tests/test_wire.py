@@ -26,6 +26,7 @@ from nekmini.wire import (
     HelloAck,
     ProtocolError,
     StepAck,
+    WireMessage,
     check_header,
     decode_block_payload,
     decode_message,
@@ -98,21 +99,24 @@ class TestFrameLayout:
 
 
 class TestDecodeIncremental:
-    def test_short_buffer_needs_more(self):
+    def test_short_buffer_rejected(self):
+        # decode_message takes one whole frame: every cut of one is an error
         raw = encode_message(Hello(0))
         for cut in range(len(raw)):
-            assert decode_message(raw[:cut]) == (None, 0)
+            with pytest.raises(ProtocolError, match=f"^{cut} bytes "):
+                decode_message(raw[:cut])
         msg, used = decode_message(raw)
         assert msg == Hello(0) and used == len(raw)
 
-    def test_decode_consumes_only_first_frame(self):
+    def test_bytes_past_the_frame_rejected(self):
         a = encode_message(StepAck(5))
         b = encode_message(Bye())
-        msg, used = decode_message(a + b)
-        assert msg == StepAck(5)
-        assert used == len(a)
-        msg2, used2 = decode_message((a + b)[used:])
-        assert msg2 == Bye() and used2 == len(b)
+        for extra in (b[:1], b):
+            with pytest.raises(ProtocolError, match=f"{len(a + extra)} bytes given for a "
+                                                    f"{len(a)}-byte frame"):
+                decode_message(a + extra)
+        assert decode_message(a) == (StepAck(5), len(a))
+        assert decode_message(b) == (Bye(), len(b))
 
     def test_bad_magic_rejected(self):
         raw = bytearray(encode_message(Bye()))
@@ -140,9 +144,9 @@ class TestDecodeIncremental:
             raw = HEADER.pack(MAGIC, VERSION, TAG_BLOCK_PAYLOAD, length)
             with pytest.raises(ProtocolError, match="cap"):
                 decode_message(raw)
-        # a length at the cap is fine (still waiting for payload bytes)
+        # a length at the cap passes the header check
         raw = HEADER.pack(MAGIC, VERSION, TAG_BLOCK_PAYLOAD, MAX_PAYLOAD)
-        assert decode_message(raw) == (None, 0)
+        assert check_header(raw) == (TAG_BLOCK_PAYLOAD, HEADER.size + MAX_PAYLOAD)
 
     def test_bye_with_payload_rejected(self):
         raw = HEADER.pack(MAGIC, VERSION, TAG_BYE, 1) + b"\x00"
@@ -291,10 +295,10 @@ class TestRoundTrips:
     @settings(max_examples=60, deadline=None)
     @given(st.binary(min_size=0, max_size=64))
     def test_arbitrary_bytes_never_crash_uncontrolled(self, junk):
-        # decoding junk either waits for more bytes or raises ProtocolError,
-        # never anything else
+        # decoding junk either raises ProtocolError, never anything else,
+        # or decodes it as exactly one whole frame
         try:
             msg, used = decode_message(junk)
         except ProtocolError:
             return
-        assert (msg is None and used == 0) or used <= len(junk)
+        assert isinstance(msg, WireMessage) and used == len(junk)
