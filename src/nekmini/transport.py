@@ -4,19 +4,26 @@ endpoint over the framed wire protocol.
 A producer runs one shipped step ahead of its ack: send_step first
 reads the ack of the step it shipped before, if that is still unread,
 then sends the step as one BlockPayload frame and returns without
-waiting. The endpoint acks a step only after all K producers delivered
-it and the analysis bridge has run, so the simulation computes while
-the endpoint analyses, and is never more than one shipped step ahead
-of it (backpressure). drain() reads the last ack. A producer
-sends nothing between a step and reading its ack, so one thread serves
-the whole endpoint: a selector loop over the listener and every
-connection handles each connection's next message in place.
+waiting. It gather-writes the frame's parts (wire.frame_parts) with
+sendmsg, the fields straight from the snapshot's arrays, resuming a
+partial send where it stopped, all within STEP_TIMEOUT. The endpoint
+acks a step only after all K producers delivered it and the analysis
+bridge has run, so the simulation computes while the endpoint analyses,
+and is never more than one shipped step ahead of it (backpressure).
+drain() reads the last ack. A producer sends nothing between a step and
+reading its ack, so one thread serves the whole endpoint: a selector
+loop over the listener and every connection handles each connection's
+next message in place.
 
 Both sides read frames with a FrameReader: it reads a frame's 14-byte
 header, checks it, then reads exactly the payload it declares into one
-buffer of the frame's size and decodes the frame once, so receiving is
-linear in the payload size. Decoded field values are read-only views
-over that buffer, which the data model adopts without a copy.
+new, uninitialised buffer of the frame's size and decodes the frame
+once, so receiving is linear in the payload size. Decoded field values
+are read-only views over that buffer, which the data model adopts
+without a copy; no buffer is reused, so a snapshot may outlive its step.
+The one exception is a new connection's Hello: the endpoint reads it
+without blocking and keeps what has come so far, so a client that stops
+inside its Hello holds up no other producer.
 
 Both sides give up after STEP_TIMEOUT seconds: a producer waiting for
 an ack, and an endpoint that hears nothing from any connection. An idle
@@ -41,10 +48,13 @@ import socket
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from nekmini.data_model import Snapshot, assemble_global
 from nekmini.wire import (
     ERROR_STEP,
     HEADER,
+    TAG_HELLO,
     BlockPayload,
     Bye,
     Hello,
@@ -55,6 +65,7 @@ from nekmini.wire import (
     check_header,
     decode_message,
     encode_message,
+    frame_parts,
 )
 
 log = logging.getLogger(__name__)
@@ -102,9 +113,10 @@ class FrameReader:
         header = bytearray(HEADER.size)
         self._recv_into(memoryview(header), deadline)
         _, total = check_header(header)
-        frame = bytearray(total)
-        frame[:HEADER.size] = header
-        self._recv_into(memoryview(frame)[HEADER.size:], deadline)
+        frame = np.empty(total, np.uint8)  # new per frame: decoded fields are views of it
+        view = memoryview(frame)
+        view[:HEADER.size] = header
+        self._recv_into(view[HEADER.size:], deadline)
         msg, _ = decode_message(frame)
         self.bytes_consumed += total
         return msg
@@ -172,12 +184,25 @@ class ProducerConnection:
             raise
 
     def _send(self, m: WireMessage):
-        data = encode_message(m)
+        """Gather-write m's frame parts within STEP_TIMEOUT, resuming a
+        partial send wherever it stopped."""
+        parts = frame_parts(m)
+        size = sum(map(len, parts))
+        deadline = time.monotonic() + STEP_TIMEOUT
         try:
-            self.sock.sendall(data)
+            while parts:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise ConnectionLost("send failed: timed out")
+                self.sock.settimeout(remaining)
+                n = self.sock.sendmsg(parts)
+                while parts and n >= len(parts[0]):
+                    n -= len(parts.pop(0))
+                if n:
+                    parts[0] = parts[0][n:]
         except OSError as e:
             raise ConnectionLost(f"send failed: {e}") from e
-        self.bytes_sent += len(data)
+        self.bytes_sent += size
 
     def send_step(self, s: Snapshot) -> int:
         """Read the previous step's ack, then send `s` without waiting for
@@ -255,12 +280,15 @@ class Endpoint:
     def serve(self) -> EndpointSummary:
         """Run until every accepted producer has left; returns the summary.
 
-        Each selector key carries (producer id, or None before its Hello,
-        and its FrameReader). A producer sends nothing between its step
-        and the ack, so a readable connection's whole next message can be
-        read in place.
+        Each selector key carries (None, the bytes of its Hello read so
+        far) until the Hello is whole, then (producer id, its FrameReader).
+        A Hello is read without blocking, so a client that stops inside it
+        holds up no one. A producer sends nothing between its step and the
+        ack, so a registered connection's whole next message can be read
+        in place.
         """
         k, timeout, summary = self.expected_producers, STEP_TIMEOUT, self.summary
+        hello_size = len(encode_message(Hello(0)))
         sel = selectors.DefaultSelector()
         sel.register(self._listener, selectors.EVENT_READ)
         registered: set[int] = set()
@@ -269,7 +297,9 @@ class Endpoint:
         aborted = False
 
         def close(conn: socket.socket):
-            summary.bytes_received += sel.unregister(conn).data[1].bytes_consumed
+            pid, reader = sel.unregister(conn).data
+            if pid is not None:
+                summary.bytes_received += reader.bytes_consumed
             conn.close()
 
         def depart(pid: int, reason: str | None = None):
@@ -319,15 +349,25 @@ class Endpoint:
                 step = ERROR_STEP
             ack(pids, step)
 
-        def greet(conn: socket.socket, reader: FrameReader):
+        def greet(conn: socket.socket, hello: bytearray):
             try:
-                hello = reader.recv_message()
-                if not isinstance(hello, Hello):
-                    raise ProtocolError(f"expected Hello, got {type(hello).__name__}")
-                pid = hello.producer_id
+                try:
+                    chunk = conn.recv(hello_size - len(hello))
+                except BlockingIOError:
+                    return
+                if not chunk:
+                    raise ConnectionLost("connection closed by peer")
+                hello += chunk
+                if len(hello) >= HEADER.size and check_header(hello)[0] != TAG_HELLO:
+                    raise ProtocolError("expected Hello")
+                if len(hello) < hello_size:
+                    return
+                pid = decode_message(hello)[0].producer_id
+                summary.bytes_received += hello_size
                 accept = pid not in registered and len(registered) < k and not aborted
                 if not accept:
                     summary.rejected_connections += 1
+                conn.settimeout(timeout)
                 conn.sendall(encode_message(HelloAck(accept)))
             except (TransportError, ProtocolError, OSError):
                 accept = False
@@ -337,7 +377,7 @@ class Endpoint:
             registered.add(pid)
             summary.producers_seen += 1
             conns[pid] = conn
-            sel.modify(conn, selectors.EVENT_READ, (pid, reader))
+            sel.modify(conn, selectors.EVENT_READ, (pid, FrameReader(conn)))
 
         def receive(pid: int, reader: FrameReader):
             try:
@@ -380,13 +420,14 @@ class Endpoint:
                 for key, _ in events:
                     if key.fileobj is self._listener:
                         conn, _ = self._listener.accept()
-                        sel.register(conn, selectors.EVENT_READ, (None, FrameReader(conn)))
+                        conn.setblocking(False)
+                        sel.register(conn, selectors.EVENT_READ, (None, bytearray()))
                         continue
-                    pid, reader = key.data
+                    pid, state = key.data
                     if pid is None:
-                        greet(key.fileobj, reader)
+                        greet(key.fileobj, state)
                     elif conns.get(pid) is key.fileobj:  # not dropped earlier in this batch
-                        receive(pid, reader)
+                        receive(pid, state)
         finally:
             for key in list(sel.get_map().values()):
                 if key.fileobj is not self._listener:

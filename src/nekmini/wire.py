@@ -14,13 +14,16 @@ field: name length u16 + UTF-8 bytes, components u32, value count u64,
 values f64[].
 
 Every other message has one fixed payload length, declared with its tag
-and its packing in `_FIXED`, the one table that encode_message,
+and its packing in `_FIXED`, the one table that frame_parts,
 check_header and decode_message read; a BlockPayload is at least 116
 bytes. So check_header can reject a bad frame from its 14-byte header
 alone, before a reader reads the one whole frame that decode_message takes.
-A BlockPayload frame is encoded into one preallocated buffer (one copy
-per field) and decoded with none: each field's values are a read-only
-float64 view over the frame, which FieldArray adopts as it is.
+frame_parts declares the layout once: a frame as the byte views that make
+it up, where each field's values are a view of the field's own array. A
+sender gather-writes them, so no field is copied on the way out;
+encode_message joins them into one frame. A BlockPayload is decoded with
+no copy either: each field's values are a read-only float64 view over the
+frame, which FieldArray adopts as it is.
 """
 
 from __future__ import annotations
@@ -99,25 +102,35 @@ _FIXED_BY_TAG = {tag: (kind, layout, message)
                  for kind, (tag, layout, _, message) in _FIXED.items()}
 
 
-def _block_frame(m: BlockPayload) -> bytearray:
-    """A whole BlockPayload frame for m, marshaled into one new buffer."""
+def frame_parts(m: WireMessage) -> list[memoryview]:
+    """m's whole frame as the byte views that make it up, in wire order.
+
+    A fixed-size message is one part. A BlockPayload frame alternates the
+    bytes from the header up to a field's values with that field's values,
+    a view of the field's own array (`<f8`, C-contiguous), not a copy, on
+    a little-endian host. Joined, the parts are the frame; a sender can
+    gather-write them instead.
+    """
+    if not isinstance(m, BlockPayload):
+        try:
+            tag, layout, payload, _ = _FIXED[type(m)]
+        except KeyError:
+            raise TypeError(f"not a wire message: {m!r}") from None
+        frame = HEADER.pack(MAGIC, VERSION, tag, layout.size) + layout.pack(*payload(m))
+        return [memoryview(frame)]
     b = m.block
+    values = [memoryview(np.ascontiguousarray(f.values, "<f8")).cast("B") for f in b.fields]
     names = [f.name.encode("utf-8") for f in b.fields]
-    size = _STEP_FIXED.size + sum(2 + len(name) + _FIELD_HEAD.size + 8 * f.values.size
-                                  for f, name in zip(b.fields, names))
-    buf = bytearray(HEADER.size + size)
-    HEADER.pack_into(buf, 0, MAGIC, VERSION, TAG_BLOCK_PAYLOAD, size)
-    _STEP_FIXED.pack_into(buf, HEADER.size, m.step, m.time, *b.origin, *b.spacing, *b.extents,
-                          len(b.fields))
-    pos = HEADER.size + _STEP_FIXED.size
-    for f, name in zip(b.fields, names):
-        struct.pack_into("<H", buf, pos, len(name)); pos += 2
-        buf[pos:pos + len(name)] = name; pos += len(name)
-        _FIELD_HEAD.pack_into(buf, pos, f.components, f.values.size); pos += _FIELD_HEAD.size
-        end = pos + 8 * f.values.size
-        buf[pos:end] = memoryview(np.ascontiguousarray(f.values, "<f8")).cast("B")
-        pos = end
-    return buf
+    size = _STEP_FIXED.size + sum(2 + len(name) + _FIELD_HEAD.size + len(v)
+                                  for name, v in zip(names, values))
+    head = (HEADER.pack(MAGIC, VERSION, TAG_BLOCK_PAYLOAD, size)
+            + _STEP_FIXED.pack(m.step, m.time, *b.origin, *b.spacing, *b.extents, len(b.fields)))
+    parts = []
+    for f, name, v in zip(b.fields, names, values):
+        head += struct.pack("<H", len(name)) + name + _FIELD_HEAD.pack(f.components, f.values.size)
+        parts += [memoryview(head), v]
+        head = b""
+    return parts or [memoryview(head)]
 
 
 def decode_block_payload(buf) -> BlockPayload:
@@ -147,16 +160,9 @@ def decode_block_payload(buf) -> BlockPayload:
         raise ProtocolError(f"field name is not UTF-8: {e}") from e
 
 
-def encode_message(m: WireMessage) -> bytes | bytearray:
-    """One whole frame. A BlockPayload frame is written into one buffer,
-    which holds the only copy of each field's values."""
-    if isinstance(m, BlockPayload):
-        return _block_frame(m)
-    try:
-        tag, layout, payload, _ = _FIXED[type(m)]
-    except KeyError:
-        raise TypeError(f"not a wire message: {m!r}") from None
-    return HEADER.pack(MAGIC, VERSION, tag, layout.size) + layout.pack(*payload(m))
+def encode_message(m: WireMessage) -> bytes:
+    """One whole frame: frame_parts(m) joined into one new buffer."""
+    return b"".join(frame_parts(m))
 
 
 def check_header(buf) -> tuple[int, int]:

@@ -11,6 +11,7 @@ import gc
 import socket
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -426,6 +427,31 @@ def test_silent_connection_does_not_stall_registered_producer(monkeypatch):
     assert ep.summary.errors == []
 
 
+def test_half_sent_hello_does_not_stall_registered_producer(monkeypatch):
+    # a client that stops 3 bytes into its Hello holds up no one: the
+    # endpoint keeps those bytes and serves the real producer at once,
+    # not after STEP_TIMEOUT
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 3.0)
+    ep, bridge, t = start_endpoint(k=1)
+    half = socket.create_connection(parse_address(ep.address))
+    try:
+        half.sendall(MAGIC[:3])
+        time.sleep(0.05)  # the endpoint reads the 3 bytes before the producer connects
+        t0 = time.monotonic()
+        conn = connect(ep, 0)
+        for step in (0, 100, 200):
+            assert conn.send_step(producer_snapshot(0, step)) == step
+        assert time.monotonic() - t0 < 1.0
+        conn.close()
+        t.join(timeout=10)
+        assert not t.is_alive()
+    finally:
+        half.close()
+    assert [s.step for s in bridge.snapshots] == [0, 100, 200]
+    assert ep.summary.errors == []
+    assert ep.summary.bytes_received == conn.bytes_sent
+
+
 def test_producer_ack_timeout(monkeypatch):
     # a bare listener that accepts the hello but never acks a step
     monkeypatch.setattr(transport, "STEP_TIMEOUT", 0.5)
@@ -701,3 +727,158 @@ def test_reader_scans_each_frame_byte_once(monkeypatch):
     assert not th.is_alive()
     assert sum(scanned) <= 1.01 * len(frame)
     assert np.array_equal(msg.block.fields[0].values, values)
+
+
+def snapshot_256(step=0):
+    """A 256x256 snapshot with the solver's fields: a 2,097,152-byte payload."""
+    rng = np.random.default_rng(step)
+    n = 256 * 256
+    block = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 255, 0, 255, 0, 0), tuple(
+        FieldArray(name, POINT, comps, rng.standard_normal(comps * n))
+        for name, comps in (("velocity", 2), ("pressure", 1), ("temperature", 1))))
+    return Snapshot(time=0.5, step=step, producer_id=0, blocks=(block,))
+
+
+def raw_stub(frame_size):
+    """A listener that takes one producer's Hello, acks it, reads one frame
+    of frame_size bytes into a buffer made up front, acks the step and
+    waits for Bye. Returns its address, the frame buffer and the thread."""
+    srv = socket.create_server(("127.0.0.1", 0))
+    frame = bytearray(frame_size)
+    hello, bye = bytearray(len(encode_message(Hello(0)))), bytearray(len(encode_message(Bye())))
+    hello_ack, step_ack = encode_message(HelloAck(True)), encode_message(StepAck(0))
+
+    def read(conn, buf):
+        view = memoryview(buf)
+        while view:
+            view = view[conn.recv_into(view):]
+
+    def serve():
+        conn, _ = srv.accept()
+        with conn:
+            read(conn, hello)
+            conn.sendall(hello_ack)
+            read(conn, frame)
+            conn.sendall(step_ack)
+            read(conn, bye)
+        srv.close()
+
+    th = threading.Thread(target=serve, daemon=True)
+    th.start()
+    host, port = srv.getsockname()[:2]
+    return f"{host}:{port}", frame, th
+
+
+def peak_traced_bytes(fn):
+    """Peak bytes newly traced while fn runs, in every thread."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_send_step_sends_the_frame_without_copying_a_field():
+    # the bytes on the socket are encode_message's frame, and sending it
+    # allocates under 5% of the payload: the fields go out of their own arrays
+    s = snapshot_256()
+    payload = sum(f.values.nbytes for f in s.blocks[0].fields)
+    assert payload == 2_097_152
+    expected = encode_message(BlockPayload(s.step, s.time, s.blocks[0]))
+    address, frame, th = raw_stub(len(expected))
+    conn = ProducerConnection(address, 0)
+    try:
+        peak, _ = peak_traced_bytes(lambda: conn.send_step(s))
+        conn.drain()
+    finally:
+        conn.close()
+    th.join(timeout=10)
+    assert not th.is_alive()
+    assert frame == expected
+    assert peak < 0.05 * payload
+
+
+def test_recv_message_allocates_only_its_frame():
+    s = snapshot_256()
+    data = encode_message(BlockPayload(s.step, s.time, s.blocks[0]))
+    a, b = socket.socketpair()
+    th = threading.Thread(target=a.sendall, args=(data,), daemon=True)
+    th.start()
+    try:
+        peak, msg = peak_traced_bytes(FrameReader(b).recv_message)
+    finally:
+        th.join(timeout=10)
+        a.close()
+        b.close()
+    assert not th.is_alive()
+    assert peak <= 1.05 * len(data)
+    for got, sent in zip(msg.block.fields, s.blocks[0].fields):
+        assert np.array_equal(got.values, sent.values)
+
+
+@pytest.mark.parametrize("cap", [7, 1000])
+def test_partial_sends_resume_where_they_stopped(monkeypatch, cap):
+    # a socket that takes at most `cap` bytes per sendmsg cuts frames inside
+    # the header (cap 7) and inside fields; every step still arrives whole
+    real = socket.socket.sendmsg
+
+    def capped(self, buffers, *args):
+        out, room = [], cap
+        for buf in buffers:
+            out.append(memoryview(buf).cast("B")[:room])
+            room -= len(out[-1])
+            if not room:
+                break
+        return real(self, out, *args)
+
+    monkeypatch.setattr(socket.socket, "sendmsg", capped)
+    ep, bridge, t = start_endpoint(k=1)
+    conn = connect(ep, 0)
+    sent = [producer_snapshot(0, step, ni=64, nj=16) for step in (0, 1, 2)]
+    for s in sent:
+        conn.send_step(s)
+    conn.close()
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert ep.summary.steps_completed == 3
+    for got, s in zip(bridge.snapshots, sent, strict=True):
+        for fa, fb in zip(got.blocks[0].fields, s.blocks[0].fields, strict=True):
+            assert (fa.name, fa.components) == (fb.name, fb.components)
+            assert np.array_equal(fa.values, fb.values)
+    frames = [Hello(0)] + [BlockPayload(s.step, s.time, s.blocks[0]) for s in sent] + [Bye()]
+    assert conn.bytes_sent == sum(len(encode_message(m)) for m in frames)
+    assert ep.summary.bytes_received == conn.bytes_sent
+
+
+def test_send_to_a_peer_that_never_reads_fails_within_the_timeout(monkeypatch):
+    monkeypatch.setattr(transport, "STEP_TIMEOUT", 0.5)
+    srv = socket.create_server(("127.0.0.1", 0))
+    srv.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    release = threading.Event()
+
+    def stub():
+        conn, _ = srv.accept()
+        with conn:
+            conn.recv(len(encode_message(Hello(0))))
+            conn.sendall(encode_message(HelloAck(True)))
+            release.wait(10)
+
+    th = threading.Thread(target=stub, daemon=True)
+    th.start()
+    host, port = srv.getsockname()[:2]
+    conn = ProducerConnection(f"{host}:{port}", 0)
+    conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(ConnectionLost, match="timed out"):
+            conn.send_step(snapshot_256())
+        assert time.monotonic() - t0 < 1.5
+    finally:
+        conn.close()
+        release.set()
+        th.join(timeout=5)
+        srv.close()
+    assert not th.is_alive()

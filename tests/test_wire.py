@@ -245,11 +245,42 @@ class TestRoundTrips:
         rng = np.random.default_rng(6)
         b = make_block(rng)
         frame = encode_message(BlockPayload(0, 0.0, b))
-        assert isinstance(frame, bytearray)
+        assert isinstance(frame, bytes)
         payload = _STEP_FIXED_SIZE + sum(2 + len(f.name) + 12 + 8 * f.values.size
                                          for f in b.fields)
         assert len(frame) == HEADER.size + payload
         assert HEADER.unpack_from(frame) == (MAGIC, VERSION, TAG_BLOCK_PAYLOAD, payload)
+
+    @pytest.mark.parametrize("names, ni, nj", [
+        (("temperature",), 4, 3),
+        (("velocity", "pressure"), 5, 2),
+        (("u", "v", "temperature"), 3, 3),
+        (("température", "压力"), 4, 3),
+        (("temperature", "velocity"), 1, 1),
+    ])
+    def test_frame_parts_are_the_frame_with_each_field_sent_as_it_is(self, names, ni, nj):
+        # the parts, joined, are the frame encode_message returns and the
+        # layout written out here; every field's values part is a view of
+        # the field's own array, so a gather-write copies no field
+        rng = np.random.default_rng(len(names) * 100 + ni)
+        fields = tuple(FieldArray(n, POINT, c, rng.standard_normal(c * ni * nj))
+                       for c, n in enumerate(names, start=1))
+        m = BlockPayload(9, -0.5, Block((0.5, 0.0, 0.0), (0.5, 0.25, 1.0),
+                                        (1, ni, 0, nj - 1, 0, 0), fields))
+        payload = struct.pack("<Qd3d3d6qI", 9, -0.5, 0.5, 0.0, 0.0, 0.5, 0.25, 1.0,
+                              1, ni, 0, nj - 1, 0, 0, len(fields))
+        for f in fields:
+            name = f.name.encode("utf-8")
+            payload += (struct.pack("<H", len(name)) + name
+                        + struct.pack("<IQ", f.components, f.values.size)
+                        + f.values.astype("<f8").tobytes())
+        reference = HEADER.pack(MAGIC, VERSION, TAG_BLOCK_PAYLOAD, len(payload)) + payload
+        parts = wire.frame_parts(m)
+        assert b"".join(parts) == encode_message(m) == reference
+        assert len(parts) == 2 * len(fields)
+        for f, values in zip(fields, parts[1::2]):
+            assert np.shares_memory(np.frombuffer(values, np.uint8), f.values)
+        assert decode_message(reference)[0] == m
 
     def test_non_utf8_field_name_rejected(self):
         f = FieldArray("ab", POINT, 1, np.zeros(12))
