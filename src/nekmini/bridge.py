@@ -87,15 +87,12 @@ def _parse(kind: str, name: str, parse, text: str):
         raise ConfigError(f"{kind} attribute {name}={text!r}: {e}") from None
 
 
-def load_config(path: str) -> tuple[AnalysisSpec, ...]:
+def load_config(path: str | None) -> tuple[AnalysisSpec, ...]:
+    """The specs of the document at `path`; no path is the empty config."""
+    if path is None:
+        return ()
     with open(path, encoding="utf-8") as f:
         return parse_config(f.read())
-
-
-def should_trigger(spec: AnalysisSpec, step: int) -> bool:
-    if step < 0:
-        raise ValueError("step must be non-negative")
-    return step % spec.frequency == 0
 
 
 @dataclass
@@ -120,8 +117,14 @@ class Bridge:
         self.summaries = [SinkSummary(spec.kind) for spec in specs]
         self._last_step: int | None = None
 
+    def due(self, step: int) -> bool:
+        """Whether any spec's frequency divides `step`: the one trigger rule.
+        A caller asks before it builds a snapshot; update applies the same
+        rule to each spec."""
+        return any(step % spec.frequency == 0 for spec in self.specs)
+
     def update(self, s: Snapshot):
-        """Invoke every triggered sink once, in spec order.
+        """Invoke every due sink once, in spec order.
 
         A failing sink is logged at warning level and counted in its
         summary; it does not prevent later sinks from running.
@@ -136,7 +139,7 @@ class Bridge:
         self._last_step = s.step
 
         for spec, sink, summary in zip(self.specs, self.sinks, self.summaries):
-            if not should_trigger(spec, s.step):
+            if s.step % spec.frequency:
                 continue
             t0 = time.perf_counter()
             try:

@@ -11,7 +11,9 @@ Subcommands:
 
 The solver flags are SolverParams' fields, each with the field's default;
 values it rejects, a --dt past the diffusive limit included, are usage
-errors. So is a --config that validate-config rejects.
+errors. So are a --config that validate-config rejects, an --endpoint or
+--listen that is not host:port with a port from 0 to 65535, and an --id
+that a u32 does not hold.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from nekmini import bridge as bridge_mod
-from nekmini import harness, reporting
+from nekmini import harness, reporting, transport
 from nekmini.sinks import positive_int
 from nekmini.solver import SolverParams
 
@@ -74,6 +76,24 @@ def analysis_config(path: str) -> str:
     return path
 
 
+def address(text: str) -> str:
+    """argparse type of producer --endpoint and endpoint --listen: a host:port
+    that transport.parse_address accepts."""
+    try:
+        transport.parse_address(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
+    return text
+
+
+def producer_id(text: str) -> int:
+    """argparse type of producer --id: an integer the Hello's u32 holds."""
+    n = int(text)
+    if not 0 <= n < 1 << 32:
+        raise argparse.ArgumentTypeError(f"must be an integer from 0 to {(1 << 32) - 1}, got {n}")
+    return n
+
+
 def counts(text: str) -> list[int]:
     """argparse type of weak-scale --producers: comma-separated integers >= 1."""
     return [positive_int(x) for x in text.split(",")]
@@ -92,15 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("endpoint", help="in transit staging endpoint")
     p.add_argument("--config", type=analysis_config, help="analysis XML (default: no sinks)")
-    p.add_argument("--listen", default="127.0.0.1:0")
+    p.add_argument("--listen", type=address, default="127.0.0.1:0")
     p.add_argument("--producers", type=positive_int, default=4)
     p.add_argument("--out", required=True, help="reports, and endpoint.addr once listening")
     p.add_argument("--label", default="intransit")
 
     p = sub.add_parser("producer", help="in transit producer")
     _add_solver_args(p)
-    p.add_argument("--endpoint", required=True, help="host:port of the endpoint")
-    p.add_argument("--id", type=int, default=0)
+    p.add_argument("--endpoint", type=address, required=True, help="host:port of the endpoint")
+    p.add_argument("--id", type=producer_id, default=0)
     p.add_argument("--steps", type=positive_int, default=3000)
     p.add_argument("--frequency", type=positive_int, default=100)
     p.add_argument("--out", required=True)

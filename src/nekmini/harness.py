@@ -5,12 +5,12 @@ The in situ run and every producer share one solver loop, `_drive`, which
 hands snapshots to the bridge or to the transport; every role writes
 its timings.csv, memory.csv and summary.csv through `_write_reports`.
 Per-step phases recorded in timings.csv (step -1 rows carry each sink
-kind's total, see `_write_reports`):
+kind's total, see `_write_reports`); the last two appear on due steps only:
 
     solve          one solver step
     snapshot_copy  copying solver buffers into a Snapshot
-    sink           total time spent in triggered sinks (in situ runs)
-    transport      shipping a triggered snapshot (producers): waiting for
+    sink           total time spent in due sinks (in situ runs)
+    transport      shipping a due snapshot (producers): waiting for
                    the previous shipped step's ack, if it is not in yet,
                    then encoding and sending this one; at step 0 also
                    waiting for step 0's ack, the start-up rendezvous
@@ -19,8 +19,8 @@ A producer also writes one step -1 `ack_drain` row: the wait for its
 last shipped step's ack after the solver loop.
 
 The "Original" baseline configuration is an empty bridge config: the
-loop, the snapshot copy, and the measurement all still run, only the
-sinks are absent.
+loop and the measurement still run; no step is due, so no snapshot is
+taken and no sink runs.
 
 Every setting of a role arrives through its CLI flags; nothing is read
 from the environment. The orchestrator reads the endpoint's address from
@@ -86,34 +86,31 @@ def measure_memory_hwm() -> int:
     return peak if sys.platform == "darwin" else peak * 1024
 
 
-def _drive(cfg: RunConfig, deliver, phase: str, cadence: int) -> list[TimingRecord]:
+def _drive(cfg: RunConfig, deliver, phase: str, due) -> list[TimingRecord]:
     """The solver loop of the in situ run and of a producer.
 
-    Delivers the initial condition, then every step whose number is a
-    multiple of `cadence`, to `deliver`; times each delivery as `phase`.
-    Returns the per-step rows: solve for steps 1..N, then snapshot_copy
-    and `phase` on delivered steps.
+    Snapshots each step that `due(step)` accepts, the initial condition
+    (step 0) included, and only those, and hands the snapshot to
+    `deliver`; times each delivery as `phase`. Returns the per-step rows:
+    solve for steps 1..N, then snapshot_copy and `phase` on due steps.
     """
     label, pid = cfg.label, cfg.producer_id
     rows: list[TimingRecord] = []
-
-    def ship(st):
-        t0 = time.perf_counter()
-        snap = snapshot_of(st, producer_id=pid)
-        t1 = time.perf_counter()
-        deliver(snap)
-        t2 = time.perf_counter()
-        rows.append(TimingRecord(label, st.step, "snapshot_copy", t1 - t0))
-        rows.append(TimingRecord(label, st.step, phase, t2 - t1))
-
     state = init_state(cfg.solver)
-    ship(state)
-    for _ in range(cfg.steps):
-        t0 = time.perf_counter()
-        state = step(state, cfg.solver)
-        rows.append(TimingRecord(label, state.step, "solve", time.perf_counter() - t0))
-        if state.step % cadence == 0:
-            ship(state)
+    for n in range(cfg.steps + 1):
+        if n:  # pass 0 looks at the initial condition
+            t0 = time.perf_counter()
+            state = step(state, cfg.solver)
+            rows.append(TimingRecord(label, state.step, "solve", time.perf_counter() - t0))
+        if due(state.step):
+            t0 = time.perf_counter()
+            snap = snapshot_of(state, producer_id=pid)
+            t1 = time.perf_counter()
+            deliver(snap)
+            t2 = time.perf_counter()
+            del snap  # not held across the next solver step, which reuses its memory
+            rows.append(TimingRecord(label, state.step, "snapshot_copy", t1 - t0))
+            rows.append(TimingRecord(label, state.step, phase, t2 - t1))
     return rows
 
 
@@ -148,15 +145,14 @@ def _write_reports(out: Path, label: str, role: str, steps: list[TimingRecord],
 def run_insitu(cfg: RunConfig) -> Path:
     """Solver and sinks in one process; writes the report CSVs.
 
-    Returns the output directory. Every step records a solve, a
-    snapshot_copy, and a sink phase (the sink phase is 0 on steps where
-    nothing triggers).
+    Returns the output directory. Every step records a solve; a step the
+    bridge says is due also records a snapshot_copy and a sink phase, and
+    the other steps take no snapshot.
     """
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    br = bridge_mod.initialize(bridge_mod.load_config(cfg.bridge_config_path)
-                               if cfg.bridge_config_path is not None else ())
-    rows = _drive(cfg, br.update, "sink", 1)
+    br = bridge_mod.initialize(bridge_mod.load_config(cfg.bridge_config_path))
+    rows = _drive(cfg, br.update, "sink", br.due)
     _write_reports(out, cfg.label, "insitu", rows, br.finalize(), {})
     return out
 
@@ -184,7 +180,7 @@ def run_producer(cfg: RunConfig) -> Path:
             conn.drain()
 
     try:
-        rows = _drive(cfg, ship, "transport", cfg.frequency)
+        rows = _drive(cfg, ship, "transport", lambda n: n % cfg.frequency == 0)
         t0 = time.perf_counter()
         conn.drain()
         rows.append(TimingRecord(cfg.label, -1, "ack_drain", time.perf_counter() - t0))
@@ -202,8 +198,7 @@ def run_endpoint(output_dir: str | Path, bridge_config_path: str | None, label: 
     output_dir once listening."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    br = bridge_mod.initialize(bridge_mod.load_config(bridge_config_path)
-                               if bridge_config_path is not None else ())
+    br = bridge_mod.initialize(bridge_mod.load_config(bridge_config_path))
     ep = transport.Endpoint(listen, producers, br)
     tmp = out / "endpoint.addr.tmp"
     tmp.write_text(ep.address)

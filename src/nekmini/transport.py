@@ -89,8 +89,8 @@ class ConnectionLost(TransportError):
 
 def parse_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"address must be host:port, got {text!r}")
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise ValueError(f"address must be host:port with a port from 0 to 65535, got {text!r}")
     return host, int(port)
 
 

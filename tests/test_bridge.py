@@ -10,7 +10,6 @@ from nekmini.bridge import (
     Bridge,
     ConfigError,
     parse_config,
-    should_trigger,
 )
 from nekmini.sinks import SINKS
 from nekmini.solver import SolverParams, init_state, snapshot_of, step
@@ -68,17 +67,36 @@ def test_unknown_attribute_is_warning_not_error(caplog):
 
 
 @pytest.mark.parametrize(
-    "freq,step_no,expected",
+    "freqs,step_no,expected",
     [
-        (100, 100, True),
-        (100, 101, False),
-        (100, 0, True),
-        (1, 7, True),
+        ((100,), 100, True),
+        ((100,), 101, False),
+        ((100,), 0, True),
+        ((1,), 7, True),
+        ((3, 5), 10, True),  # due for the second spec only
     ],
+    ids=lambda v: "+".join(map(str, v)) if isinstance(v, tuple) else None,
 )
-def test_should_trigger(freq, step_no, expected):
-    spec = AnalysisSpec("null", freq)
-    assert should_trigger(spec, step_no) is expected
+def test_bridge_due(freqs, step_no, expected):
+    br = Bridge(tuple(AnalysisSpec("null", f) for f in freqs))
+    assert br.due(step_no) is expected
+
+
+def test_due_is_the_union_of_the_specs_and_update_runs_each_on_its_own():
+    br = Bridge((AnalysisSpec("null", 3), AnalysisSpec("null", 5)))
+    assert [n for n in range(16) if br.due(n)] == [0, 3, 5, 6, 9, 10, 12, 15]
+    assert not any(Bridge(()).due(n) for n in range(16))
+    snap = make_snapshot()
+    for n in range(16):
+        if br.due(n):
+            br.update(type(snap)(snap.time, n, 0, snap.blocks))
+    assert [s.invocations for s in br.finalize()] == [6, 4]  # 0,3,..,15 and 0,5,10,15
+
+
+def test_update_rejects_a_negative_step():
+    snap = make_snapshot()
+    with pytest.raises(ValueError, match="negative step"):
+        Bridge((AnalysisSpec("null", 1),)).update(type(snap)(snap.time, -1, 0, snap.blocks))
 
 
 def test_trigger_count_over_run():

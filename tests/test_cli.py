@@ -169,6 +169,12 @@ def test_bench_rejects_a_frequency_below_1_before_it_starts(tmp_path, frequency,
     (["weak-scale", "--ny", "1"], "grid must be at least 4x4"),
     (["run", "--dt", "1"], "diffusive ratio"),
     (["bench", "--dt", "1"], "diffusive ratio"),
+    (["producer", "--endpoint", "bogus"], "--endpoint"),
+    (["producer", "--endpoint", "127.0.0.1:99999"], "--endpoint"),
+    (["endpoint", "--listen", "nope"], "--listen"),
+    (["endpoint", "--listen", "127.0.0.1:99999"], "--listen"),
+    (["producer", "--endpoint", "h:1", "--id", "-1"], "--id"),
+    (["producer", "--endpoint", "h:1", "--id", str(1 << 32)], "--id"),
 ])
 def test_bad_input_is_a_usage_error_before_anything_starts(tmp_path, capsys, argv, flag):
     out = tmp_path / "o"

@@ -159,18 +159,51 @@ def test_producer_step_times_exclude_start_up_rendezvous(tmp_path):
 
 class TestInsitu:
     def test_phase_rows_complete(self, tmp_path):
-        cfg = insitu_config(tmp_path, steps=4)
-        out = run_insitu(cfg)
+        cfg_path = write_config(tmp_path, '<analysis type="null" frequency="3"/>')
+        out = run_insitu(insitu_config(tmp_path, steps=7, config=cfg_path))
         recs = reporting.read_timings(out / "timings.csv")
-        # step 0: snapshot_copy + sink; steps 1..4: solve + snapshot_copy + sink
+        # step 0: snapshot_copy + sink; due steps 3, 6: solve + snapshot_copy
+        # + sink; every other step: solve alone; step -1: the sink's total
         by_step = {}
         for r in recs:
             by_step.setdefault(r.step, set()).add(r.phase)
-        assert by_step[0] == {"snapshot_copy", "sink"}
-        for s in range(1, 5):
-            assert by_step[s] == {"solve", "snapshot_copy", "sink"}
+        assert by_step == {
+            -1: {"sink:null"},
+            0: {"snapshot_copy", "sink"},
+            **{s: {"solve", "snapshot_copy", "sink"} if s % 3 == 0 else {"solve"}
+               for s in range(1, 8)},
+        }
+        assert len(recs) == len({(r.step, r.phase) for r in recs})  # one row each
         assert all(r.seconds >= 0 for r in recs)
         assert all(r.label == "run" for r in recs)
+
+    def test_snapshots_exactly_the_union_of_the_specs_steps(self, tmp_path):
+        cfg_path = write_config(tmp_path, '<analysis type="null" frequency="3"/>'
+                                          '<analysis type="null" frequency="5"/>')
+        out = run_insitu(insitu_config(tmp_path, steps=15, config=cfg_path))
+        recs = reporting.read_timings(out / "timings.csv")
+        due = [0, 3, 5, 6, 9, 10, 12, 15]
+        assert [r.step for r in recs if r.phase == "snapshot_copy"] == due
+        assert [r.step for r in recs if r.phase == "sink"] == due
+        assert [r.step for r in recs if r.phase == "solve"] == list(range(1, 16))
+
+    def test_empty_config_takes_no_snapshot(self, tmp_path, monkeypatch):
+        steps = []
+        real = harness.snapshot_of
+
+        def counted(state, **kwargs):
+            steps.append(state.step)
+            return real(state, **kwargs)
+
+        monkeypatch.setattr(harness, "snapshot_of", counted)
+        out = run_insitu(insitu_config(tmp_path, steps=5))
+        assert steps == []
+        recs = reporting.read_timings(out / "timings.csv")
+        assert {(r.step, r.phase) for r in recs} == {(s, "solve") for s in range(1, 6)}
+        # the count sees the loop's calls: one sink at frequency 2 takes three
+        cfg_path = write_config(tmp_path, '<analysis type="null" frequency="2"/>')
+        run_insitu(insitu_config(tmp_path, steps=5, config=cfg_path))
+        assert steps == [0, 2, 4]
 
     def test_memory_csv_row(self, tmp_path):
         out = run_insitu(insitu_config(tmp_path, steps=2))
@@ -252,6 +285,7 @@ class TestIntransitRoles:
         recs = reporting.read_timings(p_out / "timings.csv")
         transport_steps = sorted(r.step for r in recs if r.phase == "transport")
         assert transport_steps == [0, 2, 4]
+        assert sorted(r.step for r in recs if r.phase == "snapshot_copy") == [0, 2, 4]
         assert sorted(r.step for r in recs if r.phase == "solve") == [1, 2, 3, 4]
         # and one run-total row: the wait for the last step's ack
         assert [r.step for r in recs if r.phase == "ack_drain"] == [-1]

@@ -118,6 +118,10 @@ def test_parse_address():
         parse_address("nohost")
     with pytest.raises(ValueError):
         parse_address("host:notaport")
+    assert parse_address("h:0") == ("h", 0)
+    assert parse_address("h:65535") == ("h", 65535)
+    with pytest.raises(ValueError, match="port from 0 to 65535"):
+        parse_address("127.0.0.1:65536")
 
 
 def test_single_producer_steps_counted():
