@@ -10,13 +10,17 @@ kind's total, see `_write_reports`); the last two appear on due steps only:
     solve          one solver step
     snapshot_copy  copying solver buffers into a Snapshot
     sink           total time spent in due sinks (in situ runs)
-    transport      shipping a due snapshot (producers): waiting for
-                   the previous shipped step's ack, if it is not in yet,
-                   then encoding and sending this one; at step 0 also
-                   waiting for step 0's ack, the start-up rendezvous
+    transport      shipping a due snapshot (producers): waiting until
+                   the previous shipped step is sent and acked, if it
+                   is not yet, then handing this one to the transport's
+                   worker thread; at step 0 also waiting for step 0's
+                   ack, the start-up rendezvous
 
-A producer also writes one step -1 `ack_drain` row: the wait for its
-last shipped step's ack after the solver loop.
+A producer also writes three step -1 rows: `ack_drain`, the wait for its
+last shipped step's ack after the solver loop, and the worker thread's
+totals over the run, `send` (sending frames) and `ack_wait` (reading
+acks). They are run totals because the solver thread does not wait for
+them step by step.
 
 The "Original" baseline configuration is an empty bridge config: the
 loop and the measurement still run; no step is due, so no snapshot is
@@ -108,7 +112,7 @@ def _drive(cfg: RunConfig, deliver, phase: str, due) -> list[TimingRecord]:
             t1 = time.perf_counter()
             deliver(snap)
             t2 = time.perf_counter()
-            del snap  # not held across the next solver step, which reuses its memory
+            del snap  # the transport keeps it only until its send completes
             rows.append(TimingRecord(label, state.step, "snapshot_copy", t1 - t0))
             rows.append(TimingRecord(label, state.step, phase, t2 - t1))
     return rows
@@ -161,12 +165,14 @@ def run_producer(cfg: RunConfig) -> Path:
     """In transit producer: independent solver instance streaming
     triggered snapshots to the endpoint.
 
-    Each send returns before its step's ack, so the solver runs while the
-    endpoint analyses; the last ack is drained after the loop. Step 0 is
-    the exception: its ack is the start-up rendezvous, which comes only
-    once every producer has launched and joined, so step 0's transport
-    waits for it and start-up skew stays out of steps >= 1. An abandoned
-    step raises ProtocolError naming it, at the next send or at a drain.
+    Each send returns once its step is handed to the transport's worker
+    thread, which sends it and reads its ack, so the solver runs while
+    the step moves and the endpoint analyses; the last ack is drained
+    after the loop. Step 0 is the exception: its ack is the start-up
+    rendezvous, which comes only once every producer has launched and
+    joined, so step 0's transport waits for it and start-up skew stays
+    out of steps >= 1. An abandoned step raises ProtocolError naming it,
+    at the next send or at a drain.
     """
     if not cfg.endpoint_address:
         raise ValueError("no endpoint address")
@@ -186,6 +192,8 @@ def run_producer(cfg: RunConfig) -> Path:
         rows.append(TimingRecord(cfg.label, -1, "ack_drain", time.perf_counter() - t0))
     finally:
         conn.close()
+    rows += [TimingRecord(cfg.label, -1, "send", conn.send_seconds),
+             TimingRecord(cfg.label, -1, "ack_wait", conn.ack_wait_seconds)]
     _write_reports(out, cfg.label, f"producer{cfg.producer_id}", rows, [],
                    {"transport": conn.bytes_sent})
     return out

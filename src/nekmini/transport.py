@@ -1,19 +1,20 @@
 """In transit staging transport: N producers stream snapshots to one
 endpoint over the framed wire protocol.
 
-A producer runs one shipped step ahead of its ack: send_step first
-reads the ack of the step it shipped before, if that is still unread,
-then sends the step as one BlockPayload frame and returns without
-waiting. It gather-writes the frame's parts (wire.frame_parts) with
-sendmsg, the fields straight from the snapshot's arrays, resuming a
-partial send where it stopped, all within STEP_TIMEOUT. The endpoint
+A producer runs one shipped step ahead of its ack, and ships each step
+off the caller's thread: send_step waits until the step shipped before
+is done, then hands the step as one BlockPayload frame to the
+connection's one worker thread and returns. The worker gather-writes
+the frame's parts (wire.frame_parts) with sendmsg, the fields straight
+from the snapshot's arrays, resuming a partial send where it stopped,
+all within STEP_TIMEOUT, and then reads that step's ack. The endpoint
 acks a step only after all K producers delivered it and the analysis
-bridge has run, so the simulation computes while the endpoint analyses,
-and is never more than one shipped step ahead of it (backpressure).
-drain() reads the last ack. A producer sends nothing between a step and
-reading its ack, so one thread serves the whole endpoint: a selector
-loop over the listener and every connection handles each connection's
-next message in place.
+bridge has run, so the simulation computes while the data moves and the
+endpoint analyses, and is never more than one shipped step ahead of it
+(backpressure). drain() waits for the last ship. A producer sends
+nothing between a step and reading its ack, so one thread serves the
+whole endpoint: a selector loop over the listener and every connection
+handles each connection's next message in place.
 
 Both sides read frames with a FrameReader: it reads a frame's 14-byte
 header, checks it, then reads exactly the payload it declares into one
@@ -36,8 +37,9 @@ constants, not options: every role reads the same values.
 Failure policy: a producer disconnecting mid-step discards that step;
 the other producers of that step receive an ack carrying the ERROR_STEP
 sentinel, which they surface as a protocol error naming the step, at
-their next send_step or at drain(), and terminate on. Producers at
-different step numbers in the same round are a fatal protocol error.
+their next send_step or at drain(), and terminate on; a failed send
+surfaces the same way. Producers at different step numbers in the same
+round are a fatal protocol error.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import logging
 import selectors
 import socket
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,19 +162,28 @@ class ProducerConnection:
     """Connects, handshakes, and streams steps one shipped step ahead of
     their acks.
 
-    `_unacked` is the step shipped whose ack is not read yet, or None.
-    Reading that ack is the first thing the next send_step, drain() and
-    close() do, so an error ack surfaces before any byte of a later step
-    is sent.
+    Steps are shipped by one worker thread, which a connection gets only
+    once its handshake succeeded: it sends a step's frame, then reads
+    that step's ack. `_ship` is the future of the last step shipped, until
+    it is waited for. Waiting for it is the first thing the next
+    send_step, drain() and close() do, so the socket serves one thread
+    at a time, and an error ack or a failed send surfaces before any
+    byte of a later step is sent.
+
+    `bytes_sent` counts every frame when it is handed over to be sent.
+    `send_seconds` and `ack_wait_seconds` are the worker's totals: its
+    time sending frames and its time reading acks.
     """
 
     def __init__(self, endpoint_address: str, producer_id: int):
         self.bytes_sent = 0
-        self._unacked: int | None = None
+        self.send_seconds = 0.0
+        self.ack_wait_seconds = 0.0
+        self._ship: Future | None = None
         self.sock = _connect(endpoint_address)
         self.reader = FrameReader(self.sock)
         try:
-            self._send(Hello(producer_id))
+            self._send(self._frame(Hello(producer_id)))
             ack = self.reader.recv_message()
             if not isinstance(ack, HelloAck):
                 raise ProtocolError(f"expected HelloAck, got {type(ack).__name__}")
@@ -182,12 +194,17 @@ class ProducerConnection:
         except BaseException:
             self.sock.close()
             raise
+        self._worker = ThreadPoolExecutor(max_workers=1)
 
-    def _send(self, m: WireMessage):
-        """Gather-write m's frame parts within STEP_TIMEOUT, resuming a
-        partial send wherever it stopped."""
+    def _frame(self, m: WireMessage) -> list[memoryview]:
+        """m's frame parts, counted in bytes_sent on the calling thread."""
         parts = frame_parts(m)
-        size = sum(map(len, parts))
+        self.bytes_sent += sum(map(len, parts))
+        return parts
+
+    def _send(self, parts: list[memoryview]):
+        """Gather-write a frame's parts within STEP_TIMEOUT, resuming a
+        partial send wherever it stopped."""
         deadline = time.monotonic() + STEP_TIMEOUT
         try:
             while parts:
@@ -202,27 +219,25 @@ class ProducerConnection:
                     parts[0] = parts[0][n:]
         except OSError as e:
             raise ConnectionLost(f"send failed: {e}") from e
-        self.bytes_sent += size
 
     def send_step(self, s: Snapshot) -> int:
-        """Read the previous step's ack, then send `s` without waiting for
-        its own; returns s.step. Raises ValueError unless `s` holds one block."""
+        """Wait until the previous step is shipped and acked, then hand
+        `s` to the worker and return s.step. Raises ValueError, before
+        waiting or sending, unless `s` holds one block."""
         (block,) = s.blocks
         self.drain()
-        self._send(BlockPayload(s.step, s.time, block))
-        self._unacked = s.step
+        parts = self._frame(BlockPayload(s.step, s.time, block))
+        self._ship = self._worker.submit(self._ship_step, s.step, parts)
         return s.step
 
-    def drain(self):
-        """Read the ack of the last step shipped, if it is still unread.
-
-        Raises ProtocolError naming that step if the endpoint abandoned it.
-        After any error the stream is unusable, so nothing is left unread.
-        """
-        step, self._unacked = self._unacked, None
-        if step is None:
-            return
+    def _ship_step(self, step: int, parts: list[memoryview]):
+        """The worker's job: send one step's frame, then read its ack."""
+        t0 = time.perf_counter()
+        self._send(parts)
+        t1 = time.perf_counter()
         ack = self.reader.recv_message()
+        self.send_seconds += t1 - t0
+        self.ack_wait_seconds += time.perf_counter() - t1
         if not isinstance(ack, StepAck):
             raise ProtocolError(f"expected StepAck, got {type(ack).__name__}")
         if ack.step == ERROR_STEP:
@@ -230,13 +245,25 @@ class ProducerConnection:
         if ack.step != step:
             raise ProtocolError(f"ack for step {ack.step}, expected {step}")
 
+    def drain(self):
+        """Wait for the last step shipped, if it is not waited for yet.
+
+        Raises what its ship raised: ProtocolError naming that step if
+        the endpoint abandoned it, ConnectionLost or AckTimeout. After any
+        error the stream is unusable, so nothing is left to wait for.
+        """
+        ship, self._ship = self._ship, None
+        if ship is not None:
+            ship.result()
+
     def close(self):
-        """Read any unread ack, say Bye, close; never raises."""
+        """Wait for the last ship, say Bye, stop the worker, close; never raises."""
         try:
             self.drain()
-            self._send(Bye())
+            self._send(self._frame(Bye()))
         except (TransportError, ProtocolError, OSError):
             pass
+        self._worker.shutdown()
         self.sock.close()
 
 

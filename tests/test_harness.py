@@ -5,6 +5,7 @@ import csv
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -268,7 +269,6 @@ class TestIntransitRoles:
         t = threading.Thread(target=serve, daemon=True)
         t.start()
         deadline = 30.0
-        import time
         t0 = time.monotonic()
         while not address_file.exists():
             assert time.monotonic() - t0 < deadline
@@ -277,7 +277,9 @@ class TestIntransitRoles:
 
         prod_cfg = RunConfig(small_solver(), 4, None, tmp_path / "p0", "t", frequency=2,
                              endpoint_address=address, producer_id=0)
+        before = set(threading.enumerate())
         p_out = run_producer(prod_cfg)
+        assert set(threading.enumerate()) <= before  # its transport's worker is gone
         t.join(timeout=30)
         assert not t.is_alive()
 
@@ -287,9 +289,11 @@ class TestIntransitRoles:
         assert transport_steps == [0, 2, 4]
         assert sorted(r.step for r in recs if r.phase == "snapshot_copy") == [0, 2, 4]
         assert sorted(r.step for r in recs if r.phase == "solve") == [1, 2, 3, 4]
-        # and one run-total row: the wait for the last step's ack
-        assert [r.step for r in recs if r.phase == "ack_drain"] == [-1]
-        assert {r.phase for r in recs} == {"solve", "snapshot_copy", "transport", "ack_drain"}
+        # and three run-total rows: the wait for the last step's ack, and
+        # the transport worker's time sending and reading acks
+        totals = ("ack_drain", "send", "ack_wait")
+        assert [(r.step, r.phase) for r in recs if r.phase in totals] == [(-1, p) for p in totals]
+        assert {r.phase for r in recs} == {"solve", "snapshot_copy", "transport", *totals}
 
         # endpoint ran the stats sink once per delivered step
         lines = stats.read_text().strip().split("\n")
@@ -351,8 +355,10 @@ class TestIntransitRoles:
         t.start()
         cfg = RunConfig(small_solver(), 4, None, tmp_path / "p0", "t", frequency=2,
                         endpoint_address=ep.address, producer_id=0)
+        before = set(threading.enumerate())
         with pytest.raises(transport.ProtocolError, match=r"^endpoint abandoned step 4$"):
             run_producer(cfg)
+        assert set(threading.enumerate()) <= before
         t.join(timeout=30)
         assert not t.is_alive()
         assert (ep.summary.steps_completed, ep.summary.incomplete_steps) == (2, 1)
@@ -384,6 +390,40 @@ class TestIntransitRoles:
         shipped = {r.step: r.seconds for r in recs if r.phase == "transport"}
         assert shipped[0] >= 0.4
         assert max(shipped[2], shipped[4]) < 0.2
+
+    def test_worker_time_is_a_run_total_off_the_solver_thread(self, tmp_path, monkeypatch):
+        # the endpoint analyses each step for 50 ms and the solver takes
+        # 60 ms a step: the worker waits about 50 ms for each ack, which
+        # shows in the step -1 ack_wait row, while each step's transport
+        # only hands the step over
+        monkeypatch.setattr(transport, "STEP_TIMEOUT", 30.0)
+        real_step = harness.step
+
+        def slow_step(state, params):
+            time.sleep(0.06)
+            return real_step(state, params)
+
+        class Slow:
+            def update(self, s):
+                time.sleep(0.05)
+
+        monkeypatch.setattr(harness, "step", slow_step)
+        ep = transport.Endpoint("127.0.0.1:0", 1, Slow())
+        t = threading.Thread(target=ep.serve, daemon=True)
+        t.start()
+        steps = 8
+        cfg = RunConfig(small_solver(), steps, None, tmp_path / "p0", "t", frequency=1,
+                        endpoint_address=ep.address, producer_id=0)
+        recs = reporting.read_timings(run_producer(cfg) / "timings.csv")
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert ep.summary.steps_completed == steps + 1
+        totals = {r.phase: r.seconds for r in recs if r.step == -1}
+        assert totals["ack_wait"] >= 0.04 * steps
+        assert 0 < totals["send"] < totals["ack_wait"]
+        shipped = sorted(r.seconds for r in recs if r.phase == "transport" and r.step >= 1)
+        assert len(shipped) == steps
+        assert shipped[steps // 2] < 0.010
 
 
 class TestOrchestration:

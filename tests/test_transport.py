@@ -9,6 +9,7 @@ them.
 
 import gc
 import socket
+import sys
 import threading
 import time
 import tracemalloc
@@ -110,6 +111,11 @@ def start_run_endpoint(out, k):
         assert time.monotonic() < deadline
         time.sleep(0.02)
     return address_file.read_text(), t
+
+
+def new_threads(before):
+    """The threads running now that did not run in `before`."""
+    return set(threading.enumerate()) - before
 
 
 def test_parse_address():
@@ -565,11 +571,13 @@ def test_fidelity_bit_exact_through_transport():
 def test_rejected_producer_closes_its_socket(k, pids):
     ep, _, t = start_endpoint(k=k)
     first = connect(ep, pids[0])
+    before = set(threading.enumerate())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         with pytest.raises(TransportError, match="rejected"):
             connect(ep, pids[1])
         gc.collect()
+    assert new_threads(before) == set()  # nor a worker thread
     others = [connect(ep, pid) for pid in pids[2:]]
     for c in (first, *others):
         c.close()
@@ -743,10 +751,11 @@ def snapshot_256(step=0):
     return Snapshot(time=0.5, step=step, producer_id=0, blocks=(block,))
 
 
-def raw_stub(frame_size):
-    """A listener that takes one producer's Hello, acks it, reads one frame
-    of frame_size bytes into a buffer made up front, acks the step and
-    waits for Bye. Returns its address, the frame buffer and the thread."""
+def raw_stub(frame_size, before_frame=lambda: None):
+    """A listener that takes one producer's Hello, acks it, calls
+    before_frame, reads one frame of frame_size bytes into a buffer made
+    up front, acks the step and waits for Bye. Returns its address, the
+    frame buffer and the thread."""
     srv = socket.create_server(("127.0.0.1", 0))
     frame = bytearray(frame_size)
     hello, bye = bytearray(len(encode_message(Hello(0)))), bytearray(len(encode_message(Bye())))
@@ -762,6 +771,7 @@ def raw_stub(frame_size):
         with conn:
             read(conn, hello)
             conn.sendall(hello_ack)
+            before_frame()
             read(conn, frame)
             conn.sendall(step_ack)
             read(conn, bye)
@@ -795,8 +805,8 @@ def test_send_step_sends_the_frame_without_copying_a_field():
     address, frame, th = raw_stub(len(expected))
     conn = ProducerConnection(address, 0)
     try:
-        peak, _ = peak_traced_bytes(lambda: conn.send_step(s))
-        conn.drain()
+        # the worker sends the frame after send_step returns: drain waits for it
+        peak, _ = peak_traced_bytes(lambda: (conn.send_step(s), conn.drain()))
     finally:
         conn.close()
     th.join(timeout=10)
@@ -877,8 +887,10 @@ def test_send_to_a_peer_that_never_reads_fails_within_the_timeout(monkeypatch):
     conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
     try:
         t0 = time.monotonic()
+        conn.send_step(snapshot_256())  # hands the step over and returns
+        assert time.monotonic() - t0 < 0.2
         with pytest.raises(ConnectionLost, match="timed out"):
-            conn.send_step(snapshot_256())
+            conn.drain()
         assert time.monotonic() - t0 < 1.5
     finally:
         conn.close()
@@ -886,3 +898,155 @@ def test_send_to_a_peer_that_never_reads_fails_within_the_timeout(monkeypatch):
         th.join(timeout=5)
         srv.close()
     assert not th.is_alive()
+
+
+def test_send_step_returns_while_the_worker_sends():
+    # the stub reads the frame only 0.3 s after send_step returned, and
+    # the 2 MB frame does not fit in the sockets' buffers: the send runs
+    # on the worker, so send_step returns at once and drain waits for it
+    s = snapshot_256()
+    frame_size = len(encode_message(BlockPayload(s.step, s.time, s.blocks[0])))
+    returned = threading.Event()
+    address, frame, th = raw_stub(frame_size, lambda: (returned.wait(10), time.sleep(0.3)))
+    conn = ProducerConnection(address, 0)
+    conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
+    try:
+        t0 = time.monotonic()
+        conn.send_step(s)
+        t1 = time.monotonic()
+        returned.set()
+        conn.drain()
+        t2 = time.monotonic()
+    finally:
+        conn.close()
+    th.join(timeout=10)
+    assert not th.is_alive()
+    assert t1 - t0 < 0.1
+    assert t2 - t1 >= 0.3
+    assert frame == encode_message(BlockPayload(s.step, s.time, s.blocks[0]))
+
+
+def failing_once_stub(monkeypatch):
+    """A listener that acks one Hello and then keeps every byte it gets
+    until the producer closes; and a switch that makes the next sendmsg,
+    on any thread, fail as a broken pipe. Returns the address, the
+    switch, the bytes received and the thread."""
+    srv = socket.create_server(("127.0.0.1", 0))
+    received = bytearray()
+    fail = threading.Event()
+    real = socket.socket.sendmsg
+
+    def sendmsg(self, buffers, *args):
+        if fail.is_set():
+            fail.clear()
+            raise BrokenPipeError(32, "Broken pipe")
+        return real(self, buffers, *args)
+
+    def serve():
+        conn, _ = srv.accept()
+        with conn:
+            assert FrameReader(conn).recv_message() == Hello(0)
+            conn.sendall(encode_message(HelloAck(True)))
+            while chunk := conn.recv(65536):
+                received.extend(chunk)
+        srv.close()
+
+    monkeypatch.setattr(socket.socket, "sendmsg", sendmsg)
+    th = threading.Thread(target=serve, daemon=True)
+    th.start()
+    host, port = srv.getsockname()[:2]
+    return f"{host}:{port}", fail, received, th
+
+
+@pytest.mark.parametrize("surface", ["send_step", "drain"])
+def test_failed_send_surfaces_before_any_byte_of_a_later_step(monkeypatch, surface):
+    # step 0's send fails on the worker; the error is raised at the next
+    # send_step, which sends no byte of step 1, or at drain(). All the
+    # stub ever gets after the Hello is the Bye that close() sends.
+    address, fail, received, th = failing_once_stub(monkeypatch)
+    conn = ProducerConnection(address, 0)
+    try:
+        fail.set()
+        conn.send_step(producer_snapshot(0, 0))
+        with pytest.raises(ConnectionLost, match="send failed: .*Broken pipe"):
+            if surface == "send_step":
+                conn.send_step(producer_snapshot(0, 1))
+            else:
+                conn.drain()
+        assert not fail.is_set()  # the failure was step 0's own send
+    finally:
+        conn.close()
+    th.join(timeout=10)
+    assert not th.is_alive()
+    assert received == encode_message(Bye())
+
+
+@pytest.mark.parametrize("flow", ["acked", "error-ack-raised", "error-ack-at-close",
+                                  "failed-send-at-close"])
+def test_close_leaves_no_thread_behind(monkeypatch, flow):
+    # the worker exists only between a successful handshake and close(),
+    # however the last ship ended
+    ep, _, t = start_endpoint(k=1, bridge=RecordingBridge(fail_on_step=1))
+    before = set(threading.enumerate())
+    conn = connect(ep, 0)
+    conn.send_step(producer_snapshot(0, 0))
+    if flow == "acked":
+        conn.drain()
+    elif flow == "error-ack-raised":
+        conn.send_step(producer_snapshot(0, 1))
+        with pytest.raises(ProtocolError, match="abandoned step 1"):
+            conn.drain()
+    elif flow == "error-ack-at-close":
+        conn.send_step(producer_snapshot(0, 1))
+    else:
+        conn.drain()
+
+        def broken(self, buffers, *args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(socket.socket, "sendmsg", broken)
+        conn.send_step(producer_snapshot(0, 2))
+    assert len(new_threads(before)) == 1  # the worker
+    conn.close()
+    assert new_threads(before) == set()
+    t.join(timeout=10)
+    assert not t.is_alive()
+
+
+def test_producers_ship_whole_under_rapid_thread_switching():
+    # four producer threads, each with its worker, on fewer cores, with
+    # the interpreter switching threads every 10 us: every step arrives
+    # whole, and each producer's byte count is what the endpoint read
+    ep, bridge, t = start_endpoint(k=4)
+    conns = [connect(ep, pid) for pid in range(4)]
+    errs = []
+
+    def run(conn, pid):
+        try:
+            for step in range(20):
+                conn.send_step(producer_snapshot(pid, step, ni=8, nj=8))
+            conn.close()
+        except Exception as e:  # surface in the main thread
+            errs.append((pid, e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(c, pid)) for pid, c in enumerate(conns)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+        t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and not t.is_alive()
+    assert errs == []
+    assert ep.summary.steps_completed == 20
+    assert ep.summary.bytes_received == sum(c.bytes_sent for c in conns)
+    assert [s.step for s in bridge.snapshots] == list(range(20))
+    for s in bridge.snapshots:
+        temp = s.blocks[0].field_named("temperature").values.reshape(8, 4 * 8)
+        for pid in range(4):
+            local = producer_block(pid, ni=8, nj=8, step=s.step).field_named("temperature")
+            assert np.array_equal(temp[:, pid * 8:(pid + 1) * 8], local.values.reshape(8, 8))
