@@ -34,11 +34,11 @@ class FieldArray:
     length components * point_count, where the point count is implied by
     the owning block's extents. association is always POINT.
 
-    A values array that is already read-only, 1-D, C-contiguous float64
-    (a decoded wire field, a frozen assembly result) is adopted as it is;
-    whoever made it read-only must not write it through another view.
-    Anything else, such as the solver's writeable arrays, is copied, so a
-    later change to the source never shows in the field.
+    A values array that is already read-only, 1-D, C-contiguous, aligned
+    float64 (a decoded wire field, a frozen assembly result) is adopted as
+    it is; whoever made it read-only must not write it through another
+    view. Anything else, such as the solver's writeable arrays, is copied
+    once, here, so a later change to the source never shows in the field.
     """
 
     name: str
@@ -49,7 +49,7 @@ class FieldArray:
     def __post_init__(self):
         v = self.values
         if (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim == 1
-                and v.flags.c_contiguous and not v.flags.writeable):
+                and v.flags.c_contiguous and v.flags.aligned and not v.flags.writeable):
             return
         vals = np.array(v, dtype=np.float64, copy=True).ravel()
         vals.setflags(write=False)

@@ -386,11 +386,9 @@ class StatsSink:
     def consume(self, s: Snapshot) -> int:
         rows = []
         for f in s.blocks[0].fields:
-            # numpy sums an unaligned array (a field decoded off the wire) in
-            # buffered chunks, which can round its mean differently
-            vals = np.require(f.values, requirements="A")
+            v = f.values
             rows.append(
-                f"{s.step},{s.time:.17g},{f.name},{vals.min():.17g},{vals.max():.17g},{vals.mean():.17g}"
+                f"{s.step},{s.time:.17g},{f.name},{v.min():.17g},{v.max():.17g},{v.mean():.17g}"
             )
         text = "\n".join(rows) + "\n"
         with open(self.path, "a") as f:

@@ -20,7 +20,7 @@ Both sides read frames with a FrameReader: it reads a frame's 14-byte
 header, checks it, then reads exactly the payload it declares into one
 new, uninitialised buffer of the frame's size and decodes the frame
 once, so receiving is linear in the payload size. Decoded field values
-are read-only views over that buffer, which the data model adopts
+are aligned read-only views over that buffer, which the data model adopts
 without a copy; no buffer is reused, so a snapshot may outlive its step.
 The one exception is a new connection's Hello: the endpoint reads it
 without blocking and keeps what has come so far, so a client that stops

@@ -2,16 +2,18 @@
 
 Every frame is::
 
-    magic 'NKSS' (4) | version (1, 0x02) | type tag (1) | payload length (u64 LE) | payload
+    magic 'NKSS' (4) | version (1, 0x03) | type tag (1) | payload length (u64 LE) | payload
 
 All multi-byte integers are little-endian; floats are IEEE-754 LE.
 
 Type tags: Hello=0x01, HelloAck=0x02, BlockPayload=0x04, StepAck=0x05, Bye=0x06.
 
 A step is one BlockPayload frame of point data: step u64, time f64, origin
-3*f64, spacing 3*f64, extents 6*i64, field count u32 (116 bytes), then per
-field: name length u16 + UTF-8 bytes, components u32, value count u64,
-values f64[].
+3*f64, spacing 3*f64, extents 6*i64, field count u32 (116 bytes); the field
+table, per field: name length u16 + UTF-8 bytes, components u32, value
+count u64; zero bytes up to the next multiple of 8 from the frame's first
+byte; then every field's values f64[], in table order. So every field
+starts 8-byte aligned whenever the frame's buffer is.
 
 Every other message has one fixed payload length, declared with its tag
 and its packing in `_FIXED`, the one table that frame_parts,
@@ -19,11 +21,11 @@ check_header and decode_message read; a BlockPayload is at least 116
 bytes. So check_header can reject a bad frame from its 14-byte header
 alone, before a reader reads the one whole frame that decode_message takes.
 frame_parts declares the layout once: a frame as the byte views that make
-it up, where each field's values are a view of the field's own array. A
-sender gather-writes them, so no field is copied on the way out;
-encode_message joins them into one frame. A BlockPayload is decoded with
-no copy either: each field's values are a read-only float64 view over the
-frame, which FieldArray adopts as it is.
+it up, the head (all bytes up to the values) and each field's values, a
+view of the field's own array. A sender gather-writes them, so no field
+is copied on the way out; encode_message joins them into one frame. A
+BlockPayload is decoded with no copy either: each field's values are an
+aligned read-only float64 view over the frame, which FieldArray adopts.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from nekmini.data_model import POINT, Block, FieldArray
 
 MAGIC = b"NKSS"
-VERSION = 0x02
+VERSION = 0x03
 HEADER = struct.Struct("<4sBBQ")  # magic, version, tag, payload length
 
 TAG_HELLO = 0x01
@@ -105,11 +107,11 @@ _FIXED_BY_TAG = {tag: (kind, layout, message)
 def frame_parts(m: WireMessage) -> list[memoryview]:
     """m's whole frame as the byte views that make it up, in wire order.
 
-    A fixed-size message is one part. A BlockPayload frame alternates the
-    bytes from the header up to a field's values with that field's values,
-    a view of the field's own array (`<f8`, C-contiguous), not a copy, on
-    a little-endian host. Joined, the parts are the frame; a sender can
-    gather-write them instead.
+    A fixed-size message is one part. A BlockPayload frame is the bytes
+    from the header through the field table and its padding, then each
+    field's values, a view of the field's own array (`<f8`, C-contiguous),
+    not a copy, on a little-endian host: 1 + len(fields) parts. Joined,
+    the parts are the frame; a sender can gather-write them instead.
     """
     if not isinstance(m, BlockPayload):
         try:
@@ -120,40 +122,38 @@ def frame_parts(m: WireMessage) -> list[memoryview]:
         return [memoryview(frame)]
     b = m.block
     values = [memoryview(np.ascontiguousarray(f.values, "<f8")).cast("B") for f in b.fields]
-    names = [f.name.encode("utf-8") for f in b.fields]
-    size = _STEP_FIXED.size + sum(2 + len(name) + _FIELD_HEAD.size + len(v)
-                                  for name, v in zip(names, values))
-    head = (HEADER.pack(MAGIC, VERSION, TAG_BLOCK_PAYLOAD, size)
-            + _STEP_FIXED.pack(m.step, m.time, *b.origin, *b.spacing, *b.extents, len(b.fields)))
-    parts = []
-    for f, name, v in zip(b.fields, names, values):
-        head += struct.pack("<H", len(name)) + name + _FIELD_HEAD.pack(f.components, f.values.size)
-        parts += [memoryview(head), v]
-        head = b""
-    return parts or [memoryview(head)]
+    table = _STEP_FIXED.pack(m.step, m.time, *b.origin, *b.spacing, *b.extents, len(b.fields))
+    for f in b.fields:
+        name = f.name.encode("utf-8")
+        table += struct.pack("<H", len(name)) + name + _FIELD_HEAD.pack(f.components, f.values.size)
+    table += bytes(-(HEADER.size + len(table)) % 8)  # pad to the frame's next 8 bytes
+    size = len(table) + sum(len(v) for v in values)
+    return [memoryview(HEADER.pack(MAGIC, VERSION, TAG_BLOCK_PAYLOAD, size) + table), *values]
 
 
 def decode_block_payload(buf) -> BlockPayload:
-    """Unmarshal a BlockPayload; its fields are read-only views over buf."""
+    """Unmarshal a BlockPayload (a frame's bytes after its header): read the
+    field table, check that the padding after it is whole and zero, then
+    view each field's values, read-only over buf and aligned if the frame is."""
     view = memoryview(buf).toreadonly()
     try:
         step, time, *geometry, nfields = _STEP_FIXED.unpack_from(view)
-        pos = _STEP_FIXED.size
-        fields = []
+        pos, table, nbytes = _STEP_FIXED.size, [], 0
         for _ in range(nfields):
             (nlen,) = struct.unpack_from("<H", view, pos); pos += 2
             name = str(view[pos:pos + nlen], "utf-8"); pos += nlen
             comps, nvals = _FIELD_HEAD.unpack_from(view, pos); pos += _FIELD_HEAD.size
-            end = pos + 8 * nvals
-            if end > len(view):
-                raise ProtocolError("truncated block payload")
-            values = np.frombuffer(view, "<f8", nvals, pos)
-            pos = end
-            fields.append(FieldArray(name, POINT, comps, values))
-        if pos != len(view):
-            raise ProtocolError(f"{len(view) - pos} trailing bytes in block payload")
-        return BlockPayload(step, time, Block(geometry[0:3], geometry[3:6], geometry[6:12],
-                                              tuple(fields)))
+            table.append((name, comps, nvals, nbytes)); nbytes += 8 * nvals
+        start = pos + -(HEADER.size + pos) % 8  # the values, at the frame's next 8 bytes
+        if start + nbytes > len(view):
+            raise ProtocolError("truncated block payload")
+        if any(view[pos:start]):
+            raise ProtocolError("non-zero padding in block payload")
+        if start + nbytes != len(view):
+            raise ProtocolError(f"{len(view) - start - nbytes} trailing bytes in block payload")
+        fields = tuple(FieldArray(name, POINT, comps, np.frombuffer(view, "<f8", nvals, start + at))
+                       for name, comps, nvals, at in table)
+        return BlockPayload(step, time, Block(geometry[0:3], geometry[3:6], geometry[6:12], fields))
     except struct.error as e:
         raise ProtocolError(f"truncated block payload: {e}") from e
     except UnicodeDecodeError as e:

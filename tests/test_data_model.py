@@ -176,7 +176,8 @@ def test_field_adopts_a_read_only_flat_float64_array():
     np.arange(8.0)[::2],  # not contiguous
     np.arange(4, dtype=np.float32),  # not float64
     np.arange(4.0).astype(">f8"),  # not native byte order
-], ids=["2-D", "strided", "float32", "big-endian"])
+    np.frombuffer(b"\0" + np.arange(4.0).tobytes(), np.float64, offset=1),  # not aligned
+], ids=["2-D", "strided", "float32", "big-endian", "unaligned"])
 def test_field_copies_any_other_read_only_array(src):
     src.setflags(write=False)
     f = FieldArray("s", POINT, 1, src)

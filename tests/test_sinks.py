@@ -418,8 +418,9 @@ class TestSinks:
             assert float(mean) == vals.mean()
 
     def test_stats_sink_rows_do_not_depend_on_alignment(self, tmp_path):
-        # a field decoded off the wire is a view at any byte offset; its
-        # mean must be the one numpy gives an aligned copy
+        # numpy sums an unaligned array in buffered chunks, which can round
+        # its mean differently; a field never holds one: an unaligned
+        # read-only view is copied once, when its FieldArray is built
         vals = np.random.default_rng(0).random(512 * 512)
         buf = bytearray(8 * vals.size + 1)
         buf[1:] = vals.tobytes()
@@ -427,7 +428,9 @@ class TestSinks:
         assert not view.flags.aligned
         blk = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 511, 0, 511, 0, 0),
                     (FieldArray("temperature", POINT, 1, view),))
-        assert blk.fields[0].values is view  # adopted as it is
+        held = blk.fields[0].values
+        assert held is not view and not np.shares_memory(held, view)
+        assert held.flags.aligned and not held.flags.writeable
         sink = StatsSink(path=tmp_path / "stats.csv")
         sink.consume(Snapshot(time=0.0, step=0, producer_id=0, blocks=(blk,)))
         row = (tmp_path / "stats.csv").read_text().splitlines()[1]

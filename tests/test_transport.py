@@ -17,12 +17,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nekmini import transport
 from nekmini.data_model import POINT, Block, FieldArray, Snapshot
 from nekmini.harness import run_endpoint
+from nekmini.sinks import StatsSink
+from nekmini.solver import SolverParams, init_state, snapshot_of, step
 from nekmini.transport import (
     AckTimeout,
     ConnectionLost,
@@ -144,6 +146,11 @@ def test_single_producer_steps_counted():
     assert [s.step for s in bridge.snapshots] == [0, 100, 200]
     # exact byte accounting: endpoint counted every frame the producer sent
     assert ep.summary.bytes_received == conn.bytes_sent
+    # the bridge gets each field as an aligned read-only view of its frame
+    for s in bridge.snapshots:
+        for f in s.blocks[0].fields:
+            assert f.values.flags.aligned and not f.values.flags.writeable
+            assert not f.values.flags.owndata
 
 
 def test_four_producers_assemble_in_pid_order():
@@ -741,6 +748,45 @@ def test_reader_scans_each_frame_byte_once(monkeypatch):
     assert np.array_equal(msg.block.fields[0].values, values)
 
 
+def read_off_a_socketpair(data):
+    """The message FrameReader decodes from data sent over a socketpair."""
+    a, b = socket.socketpair()
+    th = threading.Thread(target=a.sendall, args=(data,), daemon=True)
+    th.start()
+    try:
+        msg = FrameReader(b).recv_message()
+    finally:
+        th.join(timeout=10)
+        a.close()
+        b.close()
+    assert not th.is_alive()
+    return msg
+
+
+field_names = st.text(min_size=1, max_size=12).filter(lambda n: len(n.encode("utf-8")) <= 12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(names=st.lists(field_names, min_size=1, max_size=4, unique=True),
+       comps=st.lists(st.integers(1, 3), min_size=4, max_size=4), n=st.integers(1, 40))
+@example(names=["température", "压力", "u"], comps=[1, 2, 3, 1], n=5)
+def test_every_field_read_off_a_socket_is_an_aligned_view_of_its_frame(names, comps, n):
+    rng = np.random.default_rng(n)
+    fields = tuple(FieldArray(name, POINT, c, rng.standard_normal(c * n))
+                   for name, c in zip(names, comps))
+    block = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, n - 1, 0, 0, 0, 0), fields)
+    decoded = []
+    real = transport.decode_message
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "decode_message", lambda buf: decoded.append(buf) or real(buf))
+        msg = read_off_a_socketpair(encode_message(BlockPayload(1, 0.5, block)))
+    (frame,) = decoded
+    assert msg.block.fields == fields
+    for f in msg.block.fields:
+        assert f.values.flags.aligned and not f.values.flags.writeable
+        assert np.shares_memory(f.values, frame)
+
+
 def snapshot_256(step=0):
     """A 256x256 snapshot with the solver's fields: a 2,097,152-byte payload."""
     rng = np.random.default_rng(step)
@@ -818,19 +864,27 @@ def test_send_step_sends_the_frame_without_copying_a_field():
 def test_recv_message_allocates_only_its_frame():
     s = snapshot_256()
     data = encode_message(BlockPayload(s.step, s.time, s.blocks[0]))
-    a, b = socket.socketpair()
-    th = threading.Thread(target=a.sendall, args=(data,), daemon=True)
-    th.start()
-    try:
-        peak, msg = peak_traced_bytes(FrameReader(b).recv_message)
-    finally:
-        th.join(timeout=10)
-        a.close()
-        b.close()
-    assert not th.is_alive()
+    peak, msg = peak_traced_bytes(lambda: read_off_a_socketpair(data))
     assert peak <= 1.05 * len(data)
     for got, sent in zip(msg.block.fields, s.blocks[0].fields):
         assert np.array_equal(got.values, sent.values)
+
+
+def test_stats_of_a_decoded_solver_snapshot_copy_no_field(tmp_path):
+    # the solver's fields, read off a socket, are used as they arrive: the
+    # stats sink allocates under 5% of the payload and writes the rows it
+    # writes for the solver's own snapshot
+    p = SolverParams(nx=256, ny=256)
+    own = snapshot_of(step(init_state(p), p), producer_id=0)
+    payload = sum(f.values.nbytes for f in own.blocks[0].fields)
+    assert payload == 2_097_152
+    msg = read_off_a_socketpair(encode_message(BlockPayload(own.step, own.time, own.blocks[0])))
+    decoded = Snapshot(msg.time, msg.step, 0, (msg.block,))
+    StatsSink(tmp_path / "own.csv").consume(own)
+    sink = StatsSink(tmp_path / "decoded.csv")
+    peak, _ = peak_traced_bytes(lambda: sink.consume(decoded))
+    assert peak < 0.05 * payload
+    assert (tmp_path / "decoded.csv").read_text() == (tmp_path / "own.csv").read_text()
 
 
 @pytest.mark.parametrize("cap", [7, 1000])

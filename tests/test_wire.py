@@ -84,18 +84,19 @@ class TestFrameLayout:
     def test_step_frame_exact_bytes(self):
         # a 4x3 block with one field: 14 header + 116 fixed (step, time,
         # origin, spacing, extents, field count) + 2 name length + 11 name
-        # + 12 (components, value count) + 96 values = 251 bytes
+        # + 12 (components, value count) = 155, then 5 zero bytes up to the
+        # frame's next multiple of 8, then 96 values = 256 bytes
         values = np.arange(12, dtype=np.float64) / 8
         b = Block((0.5, -1.0, 0.0), (0.25, 0.5, 1.0), (4, 7, 0, 2, 0, 0),
                   (FieldArray("temperature", POINT, 1, values),))
         raw = encode_message(BlockPayload(step=30, time=0.125, block=b))
-        assert len(raw) == 14 + 116 + 2 + 11 + 12 + 96 == 251
-        assert raw == (HEADER.pack(MAGIC, 0x02, TAG_BLOCK_PAYLOAD, 237)
+        assert len(raw) == 14 + 116 + 2 + 11 + 12 + 5 + 96 == 256
+        assert raw == (HEADER.pack(MAGIC, 0x03, TAG_BLOCK_PAYLOAD, 242)
                        + struct.pack("<Qd3d3d6qI", 30, 0.125, 0.5, -1.0, 0.0, 0.25, 0.5, 1.0,
                                      4, 7, 0, 2, 0, 0, 1)
                        + struct.pack("<H", 11) + b"temperature"
-                       + struct.pack("<IQ", 1, 12) + values.astype("<f8").tobytes())
-        assert decode_message(raw) == (BlockPayload(30, 0.125, b), 251)
+                       + struct.pack("<IQ", 1, 12) + bytes(5) + values.astype("<f8").tobytes())
+        assert decode_message(raw) == (BlockPayload(30, 0.125, b), 256)
 
 
 class TestDecodeIncremental:
@@ -125,8 +126,8 @@ class TestDecodeIncremental:
             decode_message(bytes(raw))
 
     def test_bad_version_rejected(self):
-        assert VERSION == 0x02
-        for version in (0x7F, 0x01):  # 0x01 sent a step as a header frame plus blocks
+        assert VERSION == 0x03
+        for version in (0x7F, 0x02, 0x01):
             raw = bytearray(encode_message(Bye()))
             raw[4] = version
             with pytest.raises(ProtocolError, match=f"unknown protocol version {version}"):
@@ -179,7 +180,8 @@ class TestDecodeIncremental:
         assert check_header(raw) == (TAG_STEP_ACK, len(raw)) == (TAG_STEP_ACK, 22)
         raw = encode_message(BlockPayload(5, 1.25, Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
                                                           (0, 0, 0, 0, 0, 0))))
-        assert check_header(raw) == (TAG_BLOCK_PAYLOAD, len(raw)) == (TAG_BLOCK_PAYLOAD, 130)
+        # 14 header + 116 fixed + 6 zero bytes up to the frame's next multiple of 8
+        assert check_header(raw) == (TAG_BLOCK_PAYLOAD, len(raw)) == (TAG_BLOCK_PAYLOAD, 136)
 
 
 CONTROL_MESSAGES = [
@@ -246,9 +248,10 @@ class TestRoundTrips:
         b = make_block(rng)
         frame = encode_message(BlockPayload(0, 0.0, b))
         assert isinstance(frame, bytes)
-        payload = _STEP_FIXED_SIZE + sum(2 + len(f.name) + 12 + 8 * f.values.size
-                                         for f in b.fields)
-        assert len(frame) == HEADER.size + payload
+        table = _STEP_FIXED_SIZE + sum(2 + len(f.name) + 12 for f in b.fields)
+        padding = -(HEADER.size + table) % 8
+        payload = table + padding + sum(8 * f.values.size for f in b.fields)
+        assert len(frame) == HEADER.size + payload and len(frame) % 8 == 0
         assert HEADER.unpack_from(frame) == (MAGIC, VERSION, TAG_BLOCK_PAYLOAD, payload)
 
     @pytest.mark.parametrize("names, ni, nj", [
@@ -260,8 +263,9 @@ class TestRoundTrips:
     ])
     def test_frame_parts_are_the_frame_with_each_field_sent_as_it_is(self, names, ni, nj):
         # the parts, joined, are the frame encode_message returns and the
-        # layout written out here; every field's values part is a view of
-        # the field's own array, so a gather-write copies no field
+        # layout written out here: the head through the field table and its
+        # padding, then every field's values part, a view of the field's own
+        # array, so a gather-write copies no field
         rng = np.random.default_rng(len(names) * 100 + ni)
         fields = tuple(FieldArray(n, POINT, c, rng.standard_normal(c * ni * nj))
                        for c, n in enumerate(names, start=1))
@@ -272,13 +276,18 @@ class TestRoundTrips:
         for f in fields:
             name = f.name.encode("utf-8")
             payload += (struct.pack("<H", len(name)) + name
-                        + struct.pack("<IQ", f.components, f.values.size)
-                        + f.values.astype("<f8").tobytes())
+                        + struct.pack("<IQ", f.components, f.values.size))
+        payload += bytes(-(HEADER.size + len(payload)) % 8)
+        head = HEADER.size + len(payload)
+        assert head % 8 == 0
+        for f in fields:
+            payload += f.values.astype("<f8").tobytes()
         reference = HEADER.pack(MAGIC, VERSION, TAG_BLOCK_PAYLOAD, len(payload)) + payload
         parts = wire.frame_parts(m)
         assert b"".join(parts) == encode_message(m) == reference
-        assert len(parts) == 2 * len(fields)
-        for f, values in zip(fields, parts[1::2]):
+        assert len(parts) == 1 + len(fields)
+        assert len(parts[0]) == head
+        for f, values in zip(fields, parts[1:], strict=True):
             assert np.shares_memory(np.frombuffer(values, np.uint8), f.values)
         assert decode_message(reference)[0] == m
 
@@ -296,6 +305,31 @@ class TestRoundTrips:
         with pytest.raises(ProtocolError, match="truncated"):
             decode_block_payload(raw[:-8])
 
+    def test_payload_ending_inside_the_padding_is_truncated(self):
+        # a 1-byte name leaves 14 + 116 + 2 + 1 + 12 = 145 bytes, so 7 zero
+        # bytes pad the head to 152; cut anywhere in them, the payload is
+        # truncated, not "-k trailing bytes"
+        f = FieldArray("t", POINT, 1, np.zeros(0))
+        raw = encode_block(Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 3, 0, 2, 0, 0), (f,)))
+        assert len(raw) == 152 - 14
+        for cut in range(1, 8):
+            with pytest.raises(ProtocolError, match="^truncated block payload"):
+                decode_block_payload(raw[:-cut])
+        raw = encode_block(Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 0, 0, 0, 0, 0)))
+        assert len(raw) == 136 - 14
+        with pytest.raises(ProtocolError, match="^truncated block payload"):
+            decode_block_payload(raw[:116])
+
+    def test_non_zero_padding_rejected(self):
+        f = FieldArray("temperature", POINT, 1, np.arange(12.0))
+        raw = encode_block(Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 3, 0, 2, 0, 0), (f,)))
+        for at in range(141, 146):  # the 5 zero bytes after the 141-byte head of the payload
+            bad = bytearray(raw)
+            bad[at] = 1
+            with pytest.raises(ProtocolError, match="padding"):
+                decode_block_payload(bytes(bad))
+        assert decode_block_payload(raw).block.fields == (f,)
+
     def test_trailing_bytes_rejected(self):
         rng = np.random.default_rng(1)
         raw = encode_block(make_block(rng))
@@ -303,10 +337,15 @@ class TestRoundTrips:
             decode_block_payload(raw + b"\x00" * 4)
 
     def test_block_size_oracle(self):
-        # fixed part 8+8+24+24+48+4, per field 2+len(name)+12+8*nvals
+        # fixed part 8+8+24+24+48+4, per field 2+len(name)+12 in the table,
+        # zero bytes to the frame's next multiple of 8, then 8*nvals per field
         f = FieldArray("temperature", POINT, 1, np.zeros(12))
         b = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 3, 0, 2, 0, 0), (f,))
-        assert len(encode_block(b)) == 116 + 2 + 11 + 12 + 96
+        assert len(encode_block(b)) == 116 + 2 + 11 + 12 + 5 + 96
+        g = FieldArray("p", POINT, 2, np.zeros(24))
+        b = Block((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0, 3, 0, 2, 0, 0), (f, g))
+        # 14 + 116 + 25 + 15 = 170, so 6 zero bytes up to 176
+        assert len(encode_block(b)) == 116 + (2 + 11 + 12) + (2 + 1 + 12) + 6 + 96 + 192
 
     @settings(max_examples=40, deadline=None)
     @given(
