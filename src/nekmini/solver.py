@@ -251,48 +251,41 @@ def nusselt(s: SolverState) -> float:
     return 1.0 + float(np.mean(vc * s.temperature))
 
 
-def _point_fields(s: SolverState) -> dict[str, np.ndarray]:
-    """Sample staggered fields onto the (ny, nx) point grid.
-
-    Wall rows come out exact by construction: averaging u with its
-    no-slip ghost gives 0, averaging T with its Dirichlet ghost gives
-    the wall temperature.
-    """
-    u, v, temp, pres = s.u, s.v, s.temperature, s.pressure
-    ug = np.vstack([-u[:1], u, -u[-1:]])
-    u_pt = 0.5 * (ug[:-1] + ug[1:])
-    v_pt = 0.5 * (np.roll(v, 1, axis=1) + v)
-
-    def _cells_to_points(c: np.ndarray, bottom: np.ndarray, top: np.ndarray) -> np.ndarray:
-        g = np.vstack([bottom, c, top])
-        west = np.roll(g, 1, axis=1)
-        return 0.25 * (g[:-1] + g[1:] + west[:-1] + west[1:])
-
-    t_pt = _cells_to_points(temp, 2.0 - temp[:1], -temp[-1:])
-    p_pt = _cells_to_points(pres, pres[:1], pres[-1:])
-    return {"u": u_pt, "v": v_pt, "temperature": t_pt, "pressure": p_pt}
+def _cells_to_points(c: np.ndarray, bottom: np.ndarray, top: np.ndarray) -> np.ndarray:
+    g = np.vstack([bottom, c, top])
+    west = np.roll(g, 1, axis=1)
+    return 0.25 * (g[:-1] + g[1:] + west[:-1] + west[1:])
 
 
 def snapshot_of(s: SolverState, producer_id: int) -> Snapshot:
-    """Copy the state into a one-block snapshot on the point grid.
+    """Sample the staggered state onto the (ny, nx) point grid as a
+    one-block snapshot.
 
-    The block is placed by the abutting tiling rule: producer k's block
-    owns the global point columns [k*nx, (k+1)*nx - 1].
+    Wall rows come out exact by construction: averaging u with its
+    no-slip ghost gives 0, averaging T with its Dirichlet ghost gives
+    the wall temperature. The block is placed by the abutting tiling
+    rule: producer k's block owns the global point columns
+    [k*nx, (k+1)*nx - 1].
     """
-    pts = _point_fields(s)
-    ny, nx = pts["u"].shape
-    o = producer_id * nx
-    velocity = np.stack([pts["u"], pts["v"]], axis=-1)
-    for a in (velocity, pts["pressure"], pts["temperature"]):
+    ny, nx = s.v.shape
+    velocity = np.empty((ny, nx, 2))
+    ug = np.vstack([-s.u[:1], s.u, -s.u[-1:]])
+    np.add(ug[:-1], ug[1:], out=velocity[..., 0])
+    np.add(np.roll(s.v, 1, axis=1), s.v, out=velocity[..., 1])
+    velocity *= 0.5
+    temperature = _cells_to_points(s.temperature, 2.0 - s.temperature[:1], -s.temperature[-1:])
+    pressure = _cells_to_points(s.pressure, s.pressure[:1], s.pressure[-1:])
+    for a in (velocity, pressure, temperature):
         a.setflags(write=False)  # new arrays nothing else holds: FieldArray adopts them
+    o = producer_id * nx
     block = Block(
         origin=(o * s.dx, 0.0, 0.0),
         spacing=(s.dx, s.dy, 1.0),
         extents=(o, o + nx - 1, 0, ny - 1, 0, 0),
         fields=(
             FieldArray("velocity", POINT, 2, velocity.ravel()),
-            FieldArray("pressure", POINT, 1, pts["pressure"].ravel()),
-            FieldArray("temperature", POINT, 1, pts["temperature"].ravel()),
+            FieldArray("pressure", POINT, 1, pressure.ravel()),
+            FieldArray("temperature", POINT, 1, temperature.ravel()),
         ),
     )
     return Snapshot(time=s.time, step=s.step, producer_id=producer_id, blocks=(block,))

@@ -34,12 +34,15 @@ endpoint that is not listening yet retries every CONNECT_INTERVAL
 seconds, and gives up once STEP_TIMEOUT has passed. These are module
 constants, not options: every role reads the same values.
 
-Failure policy: a producer disconnecting mid-step discards that step;
-the other producers of that step receive an ack carrying the ERROR_STEP
-sentinel, which they surface as a protocol error naming the step, at
-their next send_step or at drain(), and terminate on; a failed send
-surfaces the same way. Producers at different step numbers in the same
-round are a fatal protocol error.
+Failure policy: every failure (a producer that disconnects or breaks the
+protocol, producers at different steps, an assembly or analysis that
+raises) is recorded once, as one error in the endpoint's summary, and
+the step in progress is lost with it: it counts as incomplete, and each
+producer that delivered it receives an ack carrying the ERROR_STEP
+sentinel, which it surfaces as a protocol error naming the step, at its
+next send_step or at drain(), and terminates on; a failed send surfaces
+the same way. After the first error no producer joins, and every later
+frame is error-acked.
 """
 
 from __future__ import annotations
@@ -321,7 +324,6 @@ class Endpoint:
         registered: set[int] = set()
         conns: dict[int, socket.socket] = {}  # registered producers not yet gone
         pending: dict[int, BlockPayload] = {}  # this step's frame, by producer id
-        aborted = False
 
         def close(conn: socket.socket):
             pid, reader = sel.unregister(conn).data
@@ -330,14 +332,10 @@ class Endpoint:
             conn.close()
 
         def depart(pid: int, reason: str | None = None):
-            nonlocal aborted
             close(conns.pop(pid))
             pending.pop(pid, None)
             if reason is not None:
-                summary.errors.append(reason)
-                if pending:
-                    fail(f"step discarded: {reason}")
-                aborted = True
+                fail(reason)
 
         def ack(pids: list[int], step: int):
             for pid in pids:
@@ -347,34 +345,31 @@ class Endpoint:
                     depart(pid, f"producer {pid}: {e}")
                     continue
                 if step == ERROR_STEP:
-                    depart(pid, f"producer {pid}: connection closed")
+                    depart(pid)
 
         def fail(reason: str):
-            nonlocal aborted
-            summary.incomplete_steps += 1
+            """Record a failure; the step in progress, if any, is lost with it."""
             summary.errors.append(reason)
-            aborted = True
-            pids = list(pending)
-            pending.clear()
-            ack(pids, ERROR_STEP)
+            if pending:
+                summary.incomplete_steps += 1
+                pids = list(pending)
+                pending.clear()
+                ack(pids, ERROR_STEP)
 
         def complete():
             pids = sorted(pending)
-            ordered = [pending.pop(pid) for pid in pids]
-            first = ordered[0]
+            first = pending[pids[0]]
             try:
-                global_block = assemble_global([m.block for m in ordered])
-                snapshot = Snapshot(
+                global_block = assemble_global([pending[pid].block for pid in pids])
+                self.bridge.update(Snapshot(
                     time=first.time, step=first.step, producer_id=0, blocks=(global_block,)
-                )
-                self.bridge.update(snapshot)
-                summary.steps_completed += 1
-                step = first.step
+                ))
             except Exception as e:
-                summary.errors.append(f"step {first.step}: {type(e).__name__}: {e}")
-                summary.incomplete_steps += 1
-                step = ERROR_STEP
-            ack(pids, step)
+                fail(f"step {first.step}: {type(e).__name__}: {e}")
+                return
+            summary.steps_completed += 1
+            pending.clear()
+            ack(pids, first.step)
 
         def greet(conn: socket.socket, hello: bytearray):
             try:
@@ -391,7 +386,7 @@ class Endpoint:
                     return
                 pid = decode_message(hello)[0].producer_id
                 summary.bytes_received += hello_size
-                accept = pid not in registered and len(registered) < k and not aborted
+                accept = pid not in registered and len(registered) < k and not summary.errors
                 if not accept:
                     summary.rejected_connections += 1
                 conn.settimeout(timeout)
@@ -420,7 +415,7 @@ class Endpoint:
             except (TransportError, ProtocolError, OSError) as e:
                 depart(pid, f"producer {pid}: {e}")
                 return
-            if aborted:
+            if summary.errors:
                 ack([pid], ERROR_STEP)
                 return
             pending[pid] = msg
@@ -432,14 +427,14 @@ class Endpoint:
                     complete()
 
         try:
-            while not (registered and not conns and (len(registered) == k or aborted)):
+            while not (registered and not conns and (len(registered) == k or summary.errors)):
                 events = sel.select(timeout)
                 if not events:
                     if pending:
                         step = next(iter(pending.values())).step
                         fail(f"timed out after {timeout}s waiting for stragglers at step {step}")
                     elif not registered:
-                        summary.errors.append(f"no producer connected within {timeout}s")
+                        fail(f"no producer connected within {timeout}s")
                         break
                     elif not conns:
                         break  # idle and everyone who joined has left
